@@ -7,18 +7,15 @@
 // single-sweep engine vs the per-k rescan for all-k extraction.
 //
 // Special modes (used by the perf_cpm_* ctests):
-//   perf_cpm --verify-sweep
-// runs both engines on the default synthetic graph, checks the sweep output
-// is identical to the per-k oracle for every k (communities, clique ids and
-// the nesting tree), prints the all-k extraction speedup, and exits without
-// running the registered benchmarks.
-//   perf_cpm --verify-stream [--json=FILE]
-// runs per_k, sweep, the streaming engine (unbudgeted and under a 1 MiB
-// budget that forces spilling) and almost_exact each in its own forked
-// child, compares an FNV-1a digest of the full structural output (gate: all
-// exact engines must agree; almost_exact is measured but exempt), measures
-// per-engine wall time and peak-RSS growth, and writes the machine-readable
-// BENCH_cpm.json snapshot (schema in docs/FORMATS.md).
+//   perf_cpm --verify-sweep [--json=FILE]
+// runs per_k, the sweep engine (unbudgeted and under a 1 MiB budget that
+// forces spilling) and almost_exact each in its own forked child on the
+// bench-scale synthetic graph, compares an FNV-1a digest of the full
+// structural output — communities, clique ids, clique maps and the nesting
+// tree (gate: both sweep runs must match the per_k oracle; almost_exact is
+// measured but exempt) — measures per-run wall time and peak-RSS growth,
+// and writes the machine-readable BENCH_cpm.json snapshot (schema in
+// docs/FORMATS.md). It exits without running the registered benchmarks.
 //   perf_cpm --verify-almost [--json=FILE]
 // scores the almost_exact engine against the exact sweep per graph family:
 // per-k community F1 curves (gate: worst F1 >= 0.99 on every family),
@@ -43,7 +40,6 @@
 #include "cpm/compare.h"
 #include "cpm/engine.h"
 #include "cpm/reference_cpm.h"
-#include "cpm/stream_cpm.h"
 #include "cpm/sweep_cpm.h"
 #include "obs/metrics.h"
 #include "synth/as_topology.h"
@@ -129,7 +125,7 @@ void BM_Cpm_SweepAllK(benchmark::State& state) {
     state.PauseTiming();
     std::vector<NodeSet> cliques = bench_cliques();  // copy
     state.ResumeTiming();
-    auto result = run_sweep_cpm_on_cliques(g, std::move(cliques), {});
+    auto result = run_sweep_engine_on_cliques(g, std::move(cliques), {});
     benchmark::DoNotOptimize(result.cpm.total_communities());
     benchmark::DoNotOptimize(result.tree.nodes().size());
   }
@@ -174,91 +170,6 @@ BENCHMARK(BM_Cpm_PerKScaling)->Arg(2)->Arg(6)->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------- --verify-sweep
-
-bool same_communities(const CpmResult& a, const CpmResult& b) {
-  if (a.min_k != b.min_k || a.max_k != b.max_k) return false;
-  for (std::size_t k = a.min_k; k <= a.max_k; ++k) {
-    const CommunitySet& sa = a.at(k);
-    const CommunitySet& sb = b.at(k);
-    if (sa.count() != sb.count()) return false;
-    for (CommunityId id = 0; id < sa.count(); ++id) {
-      if (sa.communities[id].nodes != sb.communities[id].nodes) return false;
-      if (sa.communities[id].clique_ids != sb.communities[id].clique_ids) {
-        return false;
-      }
-    }
-    if (sa.community_of_clique != sb.community_of_clique) return false;
-  }
-  return true;
-}
-
-bool same_tree(const CommunityTree& a, const CommunityTree& b) {
-  if (a.nodes().size() != b.nodes().size()) return false;
-  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
-    const TreeNode& na = a.nodes()[i];
-    const TreeNode& nb = b.nodes()[i];
-    if (na.k != nb.k || na.community_id != nb.community_id ||
-        na.size != nb.size || na.parent != nb.parent ||
-        na.is_main != nb.is_main) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Verifies sweep == per-k oracle on the default synthetic graph and reports
-// the all-k extraction speedup. Gates only on identity: timing is printed
-// for the record but never fails the check (CI machines are noisy).
-int verify_sweep() {
-  const Graph& g = bench_graph();
-  const std::vector<NodeSet>& cliques = bench_cliques();
-  std::cout << "verify-sweep: " << g.num_nodes() << " nodes, "
-            << g.num_edges() << " edges, " << cliques.size()
-            << " maximal cliques\n";
-
-  constexpr int kRounds = 3;
-  double best_per_k = 1e100;
-  double best_sweep = 1e100;
-  CpmResult per_k;
-  SweepCpmResult sweep;
-  for (int round = 0; round < kRounds; ++round) {
-    {
-      std::vector<NodeSet> copy = cliques;
-      Timer t;
-      per_k = run_cpm_on_cliques(g, std::move(copy), {});
-      best_per_k = std::min(best_per_k, t.seconds());
-    }
-    {
-      std::vector<NodeSet> copy = cliques;
-      Timer t;
-      sweep = run_sweep_cpm_on_cliques(g, std::move(copy), {});
-      best_sweep = std::min(best_sweep, t.seconds());
-    }
-  }
-
-  if (!same_communities(per_k, sweep.cpm)) {
-    std::cerr << "verify-sweep: FAIL — sweep communities differ from the "
-                 "per-k oracle\n";
-    return 1;
-  }
-  const CommunityTree oracle_tree = CommunityTree::build(per_k);
-  if (!same_tree(oracle_tree, sweep.tree)) {
-    std::cerr << "verify-sweep: FAIL — sweep tree differs from "
-                 "CommunityTree::build over the per-k result\n";
-    return 1;
-  }
-
-  std::cout << "verify-sweep: OK — identical communities and tree for k in ["
-            << per_k.min_k << ", " << per_k.max_k << "] ("
-            << per_k.total_communities() << " communities)\n";
-  std::cout << "verify-sweep: all-k extraction best of " << kRounds
-            << ": per_k " << fixed(best_per_k * 1e3, 2) << " ms, sweep "
-            << fixed(best_sweep * 1e3, 2) << " ms, speedup "
-            << fixed(best_per_k / best_sweep, 2) << "x\n";
-  return 0;
-}
-
-// -------------------------------------------------------- --verify-stream
 
 // FNV-1a over the full structural output, so engine-identity across process
 // boundaries reduces to one integer comparison.
@@ -311,7 +222,7 @@ std::uint64_t digest_result(const CpmResult& cpm, const CommunityTree& tree) {
 // engine name plus the options that distinguish the run.
 struct EngineRun {
   const char* name;                 // registry name, see cpm::engine_registry()
-  std::uint64_t memory_budget = 0;  // stream only
+  std::uint64_t memory_budget = 0;  // sweep only
   std::size_t min_k = 2;            // raised for the high-k comparisons
   bool exact = true;                // exempt from the digest gate when false
 };
@@ -323,8 +234,8 @@ struct ChildReport {
   std::uint64_t peak_rss_delta = 0;  // VmHWM growth during the run
   std::uint64_t digest = 0;
   std::uint64_t communities = 0;
-  std::uint64_t pairs_total = 0;    // stream only, else 0
-  std::uint64_t spilled_pairs = 0;  // stream only, else 0
+  std::uint64_t pairs_total = 0;    // sweep only, else 0
+  std::uint64_t spilled_pairs = 0;  // sweep only, else 0
 };
 
 // Runs one engine end to end (enumeration included) in a forked child and
@@ -352,12 +263,12 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
     std::uint64_t communities = 0;
     std::uint64_t pairs_total = 0;
     std::uint64_t spilled_pairs = 0;
-    if (std::strcmp(config.name, "stream") == 0) {
+    if (std::strcmp(config.name, "sweep") == 0) {
       // Direct call: the facade does not surface the spill statistics.
-      StreamCpmOptions options;
+      cpm::Options options;
       options.memory_budget = config.memory_budget;
       options.min_k = config.min_k;
-      const StreamCpmResult result = run_stream_cpm(g, options);
+      const SweepCpmResult result = run_sweep_engine(g, options);
       digest = digest_result(result.cpm, result.tree);
       communities = result.cpm.total_communities();
       pairs_total = result.stats.pairs_total;
@@ -396,34 +307,35 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
   return report;
 }
 
-// Compares per_k / sweep / stream / stream-under-budget end to end (plus an
-// almost_exact measurement row): digest identity across the exact engines
-// gates the exit code; wall and peak-RSS numbers are printed and written to
-// `json_path`. Timing/memory never fail the check (CI machines are noisy) —
-// the committed snapshot is what documents the expectation.
-int verify_stream(const std::string& json_path) {
+// Compares per_k / sweep / sweep-under-budget end to end (plus an
+// almost_exact measurement row): digest identity of both sweep runs with
+// the per_k oracle gates the exit code; wall and peak-RSS numbers are
+// printed and written to `json_path`. Timing/memory never fail the check
+// (CI machines are noisy) — the committed snapshot is what documents the
+// expectation.
+int verify_sweep(const std::string& json_path) {
   // Small enough that the bench graph's overlap pairs overflow it and the
   // spill path is actually exercised (resident pairs stay under ~1 MiB).
   const std::uint64_t budget = 1024 * 1024;
   const Graph& g = bench_graph();
-  std::cout << "verify-stream: " << g.num_nodes() << " nodes, "
+  std::cout << "verify-sweep: " << g.num_nodes() << " nodes, "
             << g.num_edges() << " edges\n";
 
   const EngineRun configs[] = {
       {"per_k"},
       {"sweep"},
-      {"stream"},
-      {"stream", budget},
+      {"sweep", budget},
       {"almost_exact", 0, 2, /*exact=*/false},
   };
-  constexpr int kConfigs = 5;
+  constexpr int kConfigs = 4;
+  constexpr int kBudgeted = 2;
   constexpr int kRounds = 2;
   ChildReport best[kConfigs];
   for (int i = 0; i < kConfigs; ++i) {
     for (int round = 0; round < kRounds; ++round) {
       const ChildReport report = run_engine_in_child(g, configs[i]);
       if (!report.ok) {
-        std::cerr << "verify-stream: FAIL — " << configs[i].name
+        std::cerr << "verify-sweep: FAIL — " << configs[i].name
                   << " child did not report\n";
         return 1;
       }
@@ -435,7 +347,7 @@ int verify_stream(const std::string& json_path) {
             std::min(best[i].peak_rss_delta, report.peak_rss_delta);
       }
     }
-    std::cout << "verify-stream: " << configs[i].name;
+    std::cout << "verify-sweep: " << configs[i].name;
     if (configs[i].memory_budget > 0) {
       std::cout << " (budget " << configs[i].memory_budget / (1024 * 1024)
                 << "M, " << best[i].spilled_pairs << " pairs spilled)";
@@ -448,38 +360,38 @@ int verify_stream(const std::string& json_path) {
   for (int i = 1; i < kConfigs; ++i) {
     if (!configs[i].exact) continue;  // almost_exact: measured, not gated
     if (best[i].digest != best[0].digest) {
-      std::cerr << "verify-stream: FAIL — " << configs[i].name
+      std::cerr << "verify-sweep: FAIL — " << configs[i].name
                 << (configs[i].memory_budget ? " (budgeted)" : "")
                 << " output digest differs from the per-k oracle\n";
       return 1;
     }
   }
-  if (best[3].spilled_pairs == 0) {
-    std::cerr << "verify-stream: FAIL — the budgeted run never spilled; the "
+  if (best[kBudgeted].spilled_pairs == 0) {
+    std::cerr << "verify-sweep: FAIL — the budgeted run never spilled; the "
                  "budget is not exercising the spill path at this scale\n";
     return 1;
   }
 
-  const double peak_ratio = best[2].peak_rss_delta == 0
-                                ? 0.0
-                                : static_cast<double>(best[1].peak_rss_delta) /
-                                      static_cast<double>(best[2].peak_rss_delta);
-  const double wall_ratio = best[1].wall_ms == 0.0
-                                ? 0.0
-                                : best[2].wall_ms / best[1].wall_ms;
-  std::cout << "verify-stream: OK — identical digests across all exact "
-               "engines\n";
-  std::cout << "verify-stream: stream peak is " << fixed(peak_ratio, 2)
-            << "x below sweep; stream wall is " << fixed(wall_ratio, 2)
-            << "x sweep\n";
+  auto ratio = [](double num, double den) {
+    return den == 0.0 ? 0.0 : num / den;
+  };
+  const double speedup = ratio(best[0].wall_ms, best[1].wall_ms);
+  const double budget_peak_ratio =
+      ratio(static_cast<double>(best[1].peak_rss_delta),
+            static_cast<double>(best[kBudgeted].peak_rss_delta));
+  std::cout << "verify-sweep: OK — sweep (unbudgeted and budgeted) matches "
+               "the per-k oracle digest\n";
+  std::cout << "verify-sweep: all-k extraction per_k/sweep wall "
+            << fixed(speedup, 2) << "x; the budget cuts sweep peak "
+            << fixed(budget_peak_ratio, 2) << "x\n";
 
   std::vector<bench::Json> runs;
   for (int i = 0; i < kConfigs; ++i) {
-    const bool is_stream = std::strcmp(configs[i].name, "stream") == 0;
+    const bool is_sweep = std::strcmp(configs[i].name, "sweep") == 0;
     bench::Json run;
     run.add("engine", configs[i].name);
     run.add("exact", configs[i].exact);
-    if (is_stream) {
+    if (is_sweep) {
       run.add("memory_budget_bytes", configs[i].memory_budget);
     }
     run.add("wall_ms", best[i].wall_ms);
@@ -489,7 +401,7 @@ int verify_stream(const std::string& json_path) {
     std::snprintf(digest, sizeof(digest), "%016llx",
                   static_cast<unsigned long long>(best[i].digest));
     run.add("digest", digest);
-    if (is_stream) {
+    if (is_sweep) {
       run.add("pairs_total", best[i].pairs_total);
       run.add("spilled_pairs", best[i].spilled_pairs);
     }
@@ -500,10 +412,10 @@ int verify_stream(const std::string& json_path) {
   graph.add("nodes", g.num_nodes());
   graph.add("edges", g.num_edges());
   bench::Json derived;
-  derived.add("sweep_over_stream_peak_ratio", peak_ratio);
-  derived.add("stream_over_sweep_wall_ratio", wall_ratio);
+  derived.add("per_k_over_sweep_wall_ratio", speedup);
+  derived.add("unbudgeted_over_budgeted_peak_ratio", budget_peak_ratio);
   bench::Json doc;
-  doc.add("bench", "perf_cpm --verify-stream");
+  doc.add("bench", "perf_cpm --verify-sweep");
   doc.add("manifest", bench::manifest_json(obs::collect_manifest("perf_cpm")));
   doc.add("rounds", static_cast<std::uint64_t>(kRounds));
   doc.add("graph", graph);
@@ -512,11 +424,11 @@ int verify_stream(const std::string& json_path) {
 
   std::ofstream out(json_path);
   if (!out.good()) {
-    std::cerr << "verify-stream: cannot write " << json_path << "\n";
+    std::cerr << "verify-sweep: cannot write " << json_path << "\n";
     return 1;
   }
   out << doc.str() << "\n";
-  std::cout << "verify-stream: wrote " << json_path << "\n";
+  std::cout << "verify-sweep: wrote " << json_path << "\n";
   return 0;
 }
 
@@ -695,21 +607,20 @@ int verify_almost(const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool verify_stream_mode = false;
+  bool verify_sweep_mode = false;
   bool verify_almost_mode = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verify-sweep") == 0) return verify_sweep();
-    if (std::strcmp(argv[i], "--verify-stream") == 0) {
-      verify_stream_mode = true;
+    if (std::strcmp(argv[i], "--verify-sweep") == 0) {
+      verify_sweep_mode = true;
     } else if (std::strcmp(argv[i], "--verify-almost") == 0) {
       verify_almost_mode = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     }
   }
-  if (verify_stream_mode) {
-    return verify_stream(json_path.empty() ? "BENCH_cpm.json" : json_path);
+  if (verify_sweep_mode) {
+    return verify_sweep(json_path.empty() ? "BENCH_cpm.json" : json_path);
   }
   if (verify_almost_mode) {
     return verify_almost(json_path.empty() ? "BENCH_cpm_almost.json"

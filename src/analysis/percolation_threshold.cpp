@@ -5,7 +5,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "cpm/cpm.h"
+#include "cpm/engine.h"
 #include "graph/graph.h"
 
 namespace kcc {
@@ -39,10 +39,10 @@ std::vector<PercolationPoint> percolation_sweep(
       builder.ensure_nodes(options.n);
       const Graph g = builder.build();
 
-      CpmOptions cpm_options;
+      cpm::Options cpm_options;
       cpm_options.min_k = std::max<std::size_t>(2, options.k);
       cpm_options.max_k = options.k;
-      const CpmResult result = run_cpm(g, cpm_options);
+      const CpmResult result = cpm::Engine(cpm_options).run(g).cpm;
       std::size_t communities = 0, largest = 0;
       if (result.has_k(options.k)) {
         communities = result.at(options.k).count();

@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "cpm/cpm.h"
+#include "cpm/engine.h"
 #include "graph/graph_algorithms.h"
 #include "graph/subgraph.h"
 
@@ -48,9 +48,9 @@ std::vector<RobustnessPoint> community_robustness(
     point.nodes_left = sub.graph.num_nodes();
     point.edges_left = sub.graph.num_edges();
     point.giant_component = largest_component(sub.graph).size();
-    const CpmResult cpm = run_cpm(sub.graph);
-    point.total_communities = cpm.total_communities();
-    point.max_k = cpm.max_k >= cpm.min_k ? cpm.max_k : 0;
+    const CpmResult result = cpm::Engine().run(sub.graph).cpm;
+    point.total_communities = result.total_communities();
+    point.max_k = result.max_k >= result.min_k ? result.max_k : 0;
     out.push_back(point);
   }
   return out;

@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "cpm/cpm.h"
+#include "cpm/engine.h"
 #include "metrics/similarity.h"
 
 namespace kcc {
@@ -113,10 +113,10 @@ TemporalSummary track_communities(const Graph& initial, std::size_t k,
   summary.steps = steps;
 
   auto communities_of = [&](const Graph& g) {
-    CpmOptions options;
+    cpm::Options options;
     options.min_k = std::max<std::size_t>(2, k);
     options.max_k = k;
-    const CpmResult result = run_cpm(g, options);
+    const CpmResult result = cpm::Engine(options).run(g).cpm;
     std::vector<NodeSet> out;
     if (result.has_k(k)) {
       for (const auto& c : result.at(k).communities) out.push_back(c.nodes);

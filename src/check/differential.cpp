@@ -8,7 +8,7 @@
 #include "clique/enumerator.h"
 #include "common/error.h"
 #include "cpm/compare.h"
-#include "cpm/stream_cpm.h"
+#include "cpm/sweep_cpm.h"
 #include "obs/metrics.h"
 
 namespace kcc::check {

@@ -2,8 +2,8 @@
 //
 // parallel_maximal_cliques materializes every maximal clique before the
 // caller sees the first one — fine when the caller wants the whole table,
-// wasteful when it consumes cliques incrementally (the streaming CPM engine,
-// cpm/stream_cpm.h). This channel enumerates the degeneracy-ordered vertex
+// wasteful when it consumes cliques incrementally (the sweep CPM engine,
+// cpm/sweep_cpm.h). This channel enumerates the degeneracy-ordered vertex
 // subproblems window by window: while the consumer drains window w on the
 // calling thread, the pool already enumerates window w+1 into the other
 // buffer. At most two windows of per-position slots are resident, so the

@@ -36,9 +36,9 @@ std::vector<CliqueOverlap> compute_clique_overlaps(
 
 /// Same pair set without the final (a, b) sort — the pair ORDER depends on
 /// the shard count (i.e. on `pool.thread_count()`), only the set is
-/// deterministic. For consumers that impose their own order anyway (the
-/// sweep engine counting-sorts by overlap) this skips the dominant
-/// O(P log P) step of the join.
+/// deterministic. For consumers that impose their own order anyway
+/// (run_sweep_cpm_prejoined buckets the pairs by overlap) this skips the
+/// dominant O(P log P) step of the join.
 std::vector<CliqueOverlap> compute_clique_overlaps_unsorted(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
     std::size_t min_overlap, ThreadPool& pool);

@@ -19,10 +19,12 @@
 // parallel over cliques, and the per-k percolations — which are mutually
 // independent — run in parallel across k.
 //
-// Compatibility note: the free functions below are the per-k engine, kept
-// verbatim as the reference oracle. New code should go through the
-// cpm::Engine facade (cpm/engine.h), whose default sweep engine produces
-// the same communities for all k plus the nesting tree in a single pass.
+// Compatibility note: the free functions below are the per-k engine (the
+// `per_k` registry entry), kept verbatim as the digest oracle that the
+// differential harness and the benchmarks check the sweep engine against.
+// Production code goes through the cpm::Engine facade (cpm/engine.h), whose
+// default sweep engine produces the same communities for all k plus the
+// nesting tree in a single pass.
 #pragma once
 
 #include <cstddef>

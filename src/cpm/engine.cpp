@@ -14,7 +14,6 @@
 #include "cpm/almost_cpm.h"
 #include "cpm/incr_cpm.h"
 #include "cpm/reference_cpm.h"
-#include "cpm/stream_cpm.h"
 #include "cpm/sweep_cpm.h"
 #include "cpm/weighted_cpm.h"
 #include "obs/report.h"
@@ -70,19 +69,6 @@ CpmResult collect_per_k(const Options& options, Fn&& communities_at) {
   return result_from_node_sets(options.min_k, std::move(by_k));
 }
 
-StreamCpmOptions stream_options(const Options& options) {
-  StreamCpmOptions stream;
-  stream.min_k = options.min_k;
-  stream.max_k = options.max_k;
-  stream.min_clique_size = options.min_clique_size;
-  stream.threads = options.threads;
-  stream.memory_budget = options.memory_budget;
-  stream.spill_dir = options.spill_dir;
-  stream.clique_backend = options.clique_backend;
-  stream.bitset_max_universe = options.bitset_max_universe;
-  return stream;
-}
-
 // Adopts a sweep-shaped {cpm, tree} pair into a Result, honoring build_tree.
 template <typename SweepShaped>
 Result adopt_sweep_result(const Options& options, SweepShaped shaped,
@@ -122,17 +108,17 @@ Result run_reference_full(const Options& options, const Graph& g) {
   return result;
 }
 
-Result run_stream_full(const Options& options, const Graph& g) {
-  // The streaming engine pipelines enumeration with the overlap join, so
-  // there is no separate clique stage to time: cliques_seconds stays 0
-  // and percolate_seconds covers the fused pass.
-  KCC_SPAN("cpm_engine/stream");
+Result run_sweep_full(const Options& options, const Graph& g) {
+  // The sweep engine pipelines enumeration with the overlap join, so there
+  // is no separate clique stage to time: cliques_seconds stays 0 and
+  // percolate_seconds covers the fused pass.
+  KCC_SPAN("cpm_engine/sweep");
   Timer total;
-  StreamCpmResult stream = [&] {
+  SweepCpmResult sweep = [&] {
     obs::StageScope stage("percolate");
-    return run_stream_cpm(g, stream_options(options));
+    return run_sweep_engine(g, options);
   }();
-  return adopt_sweep_result(options, std::move(stream), total);
+  return adopt_sweep_result(options, std::move(sweep), total);
 }
 
 Result run_sweep_cliques(const Options& options, const Graph& g,
@@ -141,22 +127,9 @@ Result run_sweep_cliques(const Options& options, const Graph& g,
   Timer total;
   SweepCpmResult sweep = [&] {
     obs::StageScope stage("percolate");
-    return run_sweep_cpm_on_cliques(g, std::move(cliques),
-                                    options.cpm_options());
+    return run_sweep_engine_on_cliques(g, std::move(cliques), options);
   }();
   return adopt_sweep_result(options, std::move(sweep), total);
-}
-
-Result run_stream_cliques(const Options& options, const Graph& g,
-                          std::vector<NodeSet> cliques) {
-  KCC_SPAN("cpm_engine/stream");
-  Timer total;
-  StreamCpmResult stream = [&] {
-    obs::StageScope stage("percolate");
-    return run_stream_cpm_on_cliques(g, std::move(cliques),
-                                     stream_options(options));
-  }();
-  return adopt_sweep_result(options, std::move(stream), total);
 }
 
 Result run_per_k_cliques(const Options& options, const Graph& g,
@@ -199,21 +172,13 @@ std::vector<EngineInfo>& mutable_registry() {
       EngineInfo sweep;
       sweep.name = "sweep";
       sweep.summary =
-          "single descending-k union-find sweep over the sorted overlap "
-          "list; tree in the same pass (default)";
+          "fused enumeration + incremental overlap join into per-overlap "
+          "buckets, one descending-k union-find sweep, tree in the same "
+          "pass; honors --memory-budget spill-to-disk (default)";
+      sweep.caps.supports_memory_budget = true;
+      sweep.run = &run_sweep_full;
       sweep.run_on_cliques = &run_sweep_cliques;
       built_in.push_back(std::move(sweep));
-    }
-    {
-      EngineInfo stream;
-      stream.name = "stream";
-      stream.summary =
-          "fused enumeration + incremental overlap join with bounded "
-          "windows; honors --memory-budget spill-to-disk";
-      stream.caps.supports_memory_budget = true;
-      stream.run = &run_stream_full;
-      stream.run_on_cliques = &run_stream_cliques;
-      built_in.push_back(std::move(stream));
     }
     {
       EngineInfo per_k;
@@ -263,7 +228,7 @@ std::vector<EngineInfo>& mutable_registry() {
 }
 
 // Fails fast on a spill directory that would only explode at the first
-// spill deep inside the stream engine.
+// spill deep inside the sweep.
 void validate_spill_dir(const std::string& spill_dir) {
   if (spill_dir.empty()) return;
   std::error_code ec;
@@ -322,33 +287,6 @@ std::string engine_names_joined(char sep) {
     joined += info.name;
   }
   return joined;
-}
-
-const char* engine_name(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSweep:
-      return "sweep";
-    case EngineKind::kStream:
-      return "stream";
-    case EngineKind::kPerK:
-      return "per_k";
-    case EngineKind::kAlmostExact:
-      return "almost_exact";
-    case EngineKind::kReference:
-      return "reference";
-  }
-  return "?";
-}
-
-EngineKind parse_engine(const std::string& name) {
-  engine_info(name);  // throws with the full registered-name list
-  if (name == "sweep") return EngineKind::kSweep;
-  if (name == "stream") return EngineKind::kStream;
-  if (name == "per_k") return EngineKind::kPerK;
-  if (name == "almost_exact") return EngineKind::kAlmostExact;
-  if (name == "reference") return EngineKind::kReference;
-  throw Error("engine '" + name +
-              "' has no legacy EngineKind; use engine_info(name)");
 }
 
 CpmOptions Options::cpm_options() const {

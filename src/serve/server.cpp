@@ -158,14 +158,13 @@ void Server::shutdown() {
     for (const auto& [id, fd] : connections_) ::shutdown(fd, SHUT_RDWR);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
+  std::map<std::uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     threads.swap(threads_);
+    finished_.clear();
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : threads) t.join();
   shutdown_cv_.notify_all();
 }
 
@@ -195,10 +194,22 @@ void Server::accept_loop() {
       break;
     }
     accepted.inc();
+    std::vector<std::thread> done;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (std::uint64_t finished : finished_) {
+        done.push_back(std::move(threads_.at(finished)));
+        threads_.erase(finished);
+      }
+      finished_.clear();
+    }
+    // Recording its id was each thread's last act, so these joins return
+    // at once.
+    for (std::thread& t : done) t.join();
     std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t id = next_connection_id_++;
     connections_[id] = fd;
-    threads_.emplace_back([this, fd, id] { connection_loop(fd, id); });
+    threads_.emplace(id, [this, fd, id] { connection_loop(fd, id); });
   }
 }
 
@@ -258,11 +269,6 @@ void Server::connection_loop(int fd, std::uint64_t id) {
     KCC_LOG(kWarn) << "serve: connection " << id << ": " << error.what();
   }
 
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    connections_.erase(id);
-  }
   active.add(-1);
   if (want_shutdown) {
     // A connection thread cannot join itself, so it only flags the waiter
@@ -270,6 +276,11 @@ void Server::connection_loop(int fd, std::uint64_t id) {
     request_shutdown();
     shutdown_cv_.notify_all();
   }
+  // Last act: from here on accept_loop may join this thread.
+  std::lock_guard<std::mutex> lock(mutex_);
+  connections_.erase(id);
+  ::close(fd);
+  finished_.push_back(id);
 }
 
 }  // namespace kcc::serve

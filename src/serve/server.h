@@ -11,6 +11,10 @@
 // signal handler / another thread. Shutdown closes the listening socket,
 // shuts down every live connection fd, and joins all threads; in-flight
 // requests finish, queued-but-unread frames are dropped with the socket.
+// A connection thread records its id as its last act, and the accept loop
+// joins every recorded thread before it spawns the next one, so finished
+// threads (and their stacks) live only until the next accept instead of
+// until shutdown.
 //
 // Hot swap: the snapshot is held through a shared_ptr that every request
 // copies at its start, so try_reload() — triggered by SIGHUP (via
@@ -128,10 +132,13 @@ class Server {
   std::atomic<bool> reload_requested_{false};
   std::thread accept_thread_;
 
-  std::mutex mutex_;  // guards connections_ and threads_
+  std::mutex mutex_;  // guards connections_, threads_ and finished_
   std::condition_variable shutdown_cv_;
   std::map<std::uint64_t, int> connections_;  // id -> live fd
-  std::vector<std::thread> threads_;
+  std::map<std::uint64_t, std::thread> threads_;  // id -> connection thread
+  // Ids of connection threads that have run to completion, joined by
+  // accept_loop before its next spawn.
+  std::vector<std::uint64_t> finished_;
   std::uint64_t next_connection_id_ = 0;
   bool started_ = false;
 };

@@ -49,12 +49,23 @@ cpm::Result run(const std::string& engine, const Graph& g,
 }
 
 TEST(EngineOptions, RegistryListsTheBuiltins) {
+  // Built-ins come first, in registration order; sweep is the one exact
+  // batch engine and the only one that honors a memory budget.
   const std::vector<std::string> names = all_engines();
-  for (const char* expected :
-       {"sweep", "stream", "per_k", "almost_exact", "reference"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+  const std::vector<std::string> builtins{"sweep", "per_k", "incremental",
+                                          "almost_exact", "reference"};
+  ASSERT_GE(names.size(), builtins.size());
+  EXPECT_EQ(std::vector<std::string>(names.begin(),
+                                     names.begin() + builtins.size()),
+            builtins);
+  EXPECT_EQ(cpm::Options{}.engine, "sweep");
+  for (const std::string& name : builtins) {
+    EXPECT_EQ(cpm::engine_info(name).caps.supports_memory_budget,
+              name == "sweep")
+        << name;
   }
+  EXPECT_EQ(cpm::find_engine("stream"), nullptr);
+  EXPECT_THROW(cpm::engine_info("stream"), Error);
   EXPECT_EQ(cpm::find_engine("bogus"), nullptr);
   EXPECT_THROW(cpm::engine_info("bogus"), Error);
   cpm::Options options;

@@ -496,7 +496,7 @@ TEST(ObsPipelineSmoke, InstrumentationFiresEndToEnd) {
   EXPECT_GT(reg.counter("cliques_enumerated_total").value(), 0u);
   EXPECT_GT(reg.counter("bk_subproblems_total").value(), 0u);
   EXPECT_GT(reg.counter("cpm_join_ops_total").value(), 0u);
-  EXPECT_GT(reg.counter("cpm_overlap_pairs_total").value(), 0u);
+  EXPECT_GT(reg.counter("cpm_stream_pairs_total").value(), 0u);
   EXPECT_GT(reg.counter("cpm_communities_total").value(), 0u);
   EXPECT_GT(reg.counter("thread_pool_tasks_total").value(), 0u);
 
@@ -527,14 +527,13 @@ TEST(ObsPipelineSmoke, InstrumentationFiresEndToEnd) {
         "pipeline/overlaps"}) {
     EXPECT_EQ(span_count[stage], 1) << stage;
   }
-  EXPECT_GE(span_count["clique/parallel_enumerate"], 1);
-  EXPECT_GE(span_count["cpm/overlap_join"], 1);
-  // The pipeline runs the sweep engine: one snapshot span per emitted k >= 3,
-  // plus the k=2 component pass and the in-pass tree assembly.
+  EXPECT_GE(span_count["clique/stream_enumerate"], 1);
+  // The pipeline runs the sweep engine: the fused enumerate/join pass, one
+  // snapshot span per emitted k >= 3, the k=2 component pass and the
+  // in-pass tree assembly.
   for (const char* stage :
-       {"cpm_engine/sweep", "sweep_cpm/clique_overlaps",
-        "sweep_cpm/sort_overlaps", "sweep_cpm/sweep",
-        "sweep_cpm/percolate_k2", "sweep_cpm/tree"}) {
+       {"cpm_engine/sweep", "sweep_cpm/run", "sweep_cpm/enumerate_join",
+        "sweep_cpm/sweep", "sweep_cpm/percolate_k2", "sweep_cpm/tree"}) {
     EXPECT_EQ(span_count[stage], 1) << stage;
   }
   for (std::size_t k = 3; k <= result.cpm.max_k; ++k) {

@@ -97,6 +97,29 @@ TEST(CliqueStream, MinSizeRespected) {
   EXPECT_EQ(collect_stream(g, 4, 16, 3), maximal_cliques(g, 3));
 }
 
+// The sweep CPM engine percolates the sequence Enumerator::stream hands it,
+// so its output is independent of the window size exactly when that
+// sequence is: tiny windows force many enumerate/join hand-offs on a graph
+// whose default run fits one window.
+TEST(CliqueStream, EnumeratorWindowSizeDoesNotChangeTheSequence) {
+  ThreadPool pool(4);
+  const Graph g = random_graph(60, 0.25, 17);
+  clique::Options opts;
+  opts.min_size = 2;
+  const auto expected = clique::Enumerator(g, opts).collect();
+  for (std::size_t window : {1u, 7u, 64u}) {
+    opts.window_positions = window;
+    std::vector<NodeSet> streamed;
+    const std::size_t windows = clique::Enumerator(g, opts).stream(
+        pool, [&](std::span<const NodeId> c) {
+          streamed.emplace_back(c.begin(), c.end());
+        });
+    EXPECT_EQ(streamed, expected) << "window " << window;
+    EXPECT_EQ(windows, (g.num_nodes() + window - 1) / window)
+        << "window " << window;
+  }
+}
+
 TEST(CliqueStream, ReportsWindowBoundariesInOrder) {
   const Graph g = random_graph(40, 0.2, 1);
   ThreadPool pool(2);

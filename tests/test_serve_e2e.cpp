@@ -11,11 +11,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cpm/engine.h"
@@ -116,6 +119,83 @@ TEST(ServeE2E, DaemonAnswersMixAndShutsDownCleanly) {
   EXPECT_TRUE(WIFEXITED(status)) << "daemon did not exit normally";
   EXPECT_EQ(WEXITSTATUS(status), 0) << "daemon exit code";
   EXPECT_FALSE(std::filesystem::exists(sock)) << "socket not unlinked";
+  std::remove(snap.c_str());
+}
+
+// One numeric field ("Threads", "VmSize", ...) of /proc/<pid>/status; -1
+// when the file or the field is missing.
+long proc_status_field(pid_t pid, const std::string& field) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stol(line.substr(field.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST(ServeE2E, SequentialConnectionsKeepThreadsAndVmBounded) {
+  if (std::getenv("KCC_BIN") == nullptr) {
+    GTEST_SKIP() << "KCC_BIN not set (run through ctest)";
+  }
+  const Graph g = testing::preferential_attachment_graph(40, 3, 5);
+  const std::string snap = temp_path("churn.snap");
+  const std::string sock = temp_path("churn.sock");
+  const cpm::Result result = cpm::Engine().run(g);
+  snapshot::write_snapshot_file(snap, result);
+
+  const pid_t pid =
+      spawn_kcc({"serve", "--snapshot=" + snap, "--socket=" + sock});
+  ASSERT_GT(pid, 0) << "failed to spawn kcc serve";
+  if (proc_status_field(pid, "VmSize") < 0) {
+    ::kill(pid, SIGTERM);
+    ::waitpid(pid, nullptr, 0);
+    GTEST_SKIP() << "no /proc/<pid>/status on this platform";
+  }
+
+  auto query_info = [&] {
+    serve::Client client(sock, /*timeout_seconds=*/20.0);
+    return client.info().num_communities;
+  };
+  // Waits up to `polls` x 250 us until the daemon runs at most `limit`
+  // threads; false on timeout.
+  auto settle = [&](long limit, int polls) {
+    for (int i = 0; i < polls; ++i) {
+      if (proc_status_field(pid, "Threads") <= limit) return true;
+      std::this_thread::sleep_for(std::chrono::microseconds(250));
+    }
+    return false;
+  };
+  // Idle thread count: main + accept loop (+ a sanitizer runtime thread),
+  // read once the warm-up connection's thread has exited.
+  ASSERT_EQ(query_info(), result.cpm.total_communities());
+  long idle = proc_status_field(pid, "Threads");
+  while (idle > 1 && settle(idle - 1, 800)) --idle;
+
+  // Each connection starts only after the previous connection's thread
+  // has exited. Otherwise a client that reconnects before its old thread
+  // has seen EOF overlaps two threads, and the overlap costs a one-time
+  // step of address space (a stack and a malloc arena) that is not
+  // per-connection growth. The leak this guards against kept the stack of
+  // every finished thread mapped (8 MiB per connection) until shutdown.
+  const long vm_before_kib = proc_status_field(pid, "VmSize");
+  constexpr int kConnections = 1000;
+  for (int i = 0; i < kConnections; ++i) {
+    ASSERT_EQ(query_info(), result.cpm.total_communities());
+    ASSERT_TRUE(settle(idle, 20000)) << "connection " << i << " never ended";
+  }
+  const long threads = proc_status_field(pid, "Threads");
+  const long vm_growth_kib = proc_status_field(pid, "VmSize") - vm_before_kib;
+  EXPECT_LE(threads, 4) << "connection threads are not reaped";
+  EXPECT_LT(vm_growth_kib, 64 * 1024)
+      << "VmSize grew " << vm_growth_kib / 1024 << " MiB over "
+      << kConnections << " connections";
+
+  EXPECT_EQ(serve::Client(sock, 20.0).request_shutdown(), serve::Status::kOk);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   std::remove(snap.c_str());
 }
 

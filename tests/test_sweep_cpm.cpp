@@ -1,14 +1,18 @@
-// The single-sweep engine against the per-k oracle: set-identical
-// communities for every k on a spread of graph families and seeds, the
-// nesting invariant of the in-pass community tree, and the cpm::Engine
-// facade that fronts both.
+// The sweep engine — the one exact batch engine — against the per-k oracle:
+// structural identity (communities, ids, clique maps, tree) on a spread of
+// graph families and seeds, the nesting invariant of the in-pass community
+// tree, the pre-joined entry point, the memory-budget/spill machinery, and
+// the cpm::Engine facade that fronts every engine.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "clique/enumerator.h"
 #include "common/error.h"
-#include "common/set_ops.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "cpm/clique_index.h"
 #include "cpm/cpm.h"
 #include "cpm/engine.h"
 #include "cpm/sweep_cpm.h"
@@ -28,27 +32,43 @@ using testing::overlapping_cliques;
 using testing::preferential_attachment_graph;
 using testing::random_graph;
 
+// Oracle identity, tree nesting and tree identity with the post-hoc
+// construction, under the given options. Default-option graphs additionally
+// go through the check:: differential matrix (see tests/test_helpers.h).
 void check_graph(const Graph& g, const std::string& label,
-                 CpmOptions options = {}) {
-  const CpmResult oracle = run_cpm(g, options);
-  const SweepCpmResult sweep = run_sweep_cpm(g, options);
+                 cpm::Options options = {}) {
+  const CpmResult oracle = run_cpm(g, options.cpm_options());
+  const SweepCpmResult sweep = run_sweep_engine(g, options);
   expect_same_cpm(oracle, sweep.cpm, label);
-  // Default-option graphs additionally go through the check:: differential
-  // matrix (every engine × threads × budgets + the invariant oracles).
-  if (options.min_k == 2 && options.max_k == 0) {
+  if (options.min_k == 2 && options.max_k == 0 &&
+      options.memory_budget == 0) {
     expect_differential_ok(g, label);
   }
   if (sweep.cpm.max_k < sweep.cpm.min_k) return;  // nothing to arrange
   expect_nesting(sweep.cpm, sweep.tree, label);
-
-  // from_levels (in-pass) must agree with the post-hoc construction.
+  // The in-pass tree must agree with the post-hoc construction.
   expect_same_tree(CommunityTree::build(oracle), sweep.tree, label);
+}
+
+std::vector<NodeSet> maximal_cliques_of(const Graph& g) {
+  ThreadPool pool(2);
+  clique::Options copt;
+  copt.min_size = 2;
+  return clique::Enumerator(g, copt).collect(pool);
+}
+
+cpm::Result as_result(SweepCpmResult sweep) {
+  cpm::Result result;
+  result.has_tree = sweep.cpm.max_k >= sweep.cpm.min_k;
+  result.cpm = std::move(sweep.cpm);
+  result.tree = std::move(sweep.tree);
+  return result;
 }
 
 // ------------------------------------------------ sweep vs per-k oracle
 
 TEST(SweepCpm, MatchesOracleOnRandomGraphs) {
-  // >= 10 independent seeds across two densities.
+  // 12 independent seeds across two densities.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     check_graph(random_graph(60, 0.2, seed),
                 "random n=60 p=0.2 seed=" + std::to_string(seed));
@@ -85,7 +105,7 @@ TEST(SweepCpm, MatchesOracleOnStructuredGraphs) {
 TEST(SweepCpm, MatchesOracleWithRestrictedKRange) {
   const Graph g = random_graph(50, 0.3, 99);
   for (std::size_t min_k : {2u, 3u, 4u, 6u}) {
-    CpmOptions options;
+    cpm::Options options;
     options.min_k = min_k;
     check_graph(g, "min_k=" + std::to_string(min_k), options);
     options.max_k = min_k + 2;
@@ -93,22 +113,141 @@ TEST(SweepCpm, MatchesOracleWithRestrictedKRange) {
   }
 }
 
-TEST(SweepCpm, EmptyRangeYieldsNoLevelsAndNoTree) {
+TEST(SweepCpm, MatchesOracleOnPreEnumeratedCliques) {
+  const Graph g = random_graph(50, 0.3, 23);
+  const std::vector<NodeSet> cliques = maximal_cliques_of(g);
+  const CpmResult oracle = run_cpm_on_cliques(g, cliques, {});
+  const SweepCpmResult sweep = run_sweep_engine_on_cliques(g, cliques, {});
+  expect_same_cpm(oracle, sweep.cpm, "pre-enumerated");
+  expect_same_tree(CommunityTree::build(oracle), sweep.tree,
+                   "pre-enumerated");
+}
+
+TEST(SweepCpm, EmptyGraphAndEmptyRange) {
+  EXPECT_TRUE(run_sweep_engine(Graph{}, {}).cpm.by_k.empty());
   // Min_k above the largest clique: nothing percolates.
-  CpmOptions options;
+  cpm::Options options;
   options.min_k = 9;
-  const SweepCpmResult sweep = run_sweep_cpm(complete_graph(5), options);
+  const SweepCpmResult sweep = run_sweep_engine(complete_graph(5), options);
   EXPECT_LT(sweep.cpm.max_k, sweep.cpm.min_k);
   EXPECT_TRUE(sweep.cpm.by_k.empty());
   EXPECT_TRUE(sweep.tree.nodes().empty());
 }
 
 TEST(SweepCpm, RejectsBadInput) {
-  CpmOptions options;
+  cpm::Options options;
   options.min_k = 1;
-  EXPECT_THROW(run_sweep_cpm(complete_graph(3), options), Error);
+  EXPECT_THROW(run_sweep_engine(complete_graph(3), options), Error);
   EXPECT_THROW(
-      run_sweep_cpm_on_cliques(complete_graph(3), {{2, 0, 1}}, {}), Error);
+      run_sweep_engine_on_cliques(complete_graph(3), {{2, 0, 1}}, {}), Error);
+  EXPECT_THROW(
+      run_sweep_cpm_prejoined(complete_graph(3), {{2, 0, 1}}, {}, {}), Error);
+  // A pair naming a clique outside the table is caught, not dereferenced.
+  EXPECT_THROW(run_sweep_cpm_prejoined(overlapping_cliques(4, 4, 2),
+                                       {{0, 1, 2, 3}, {2, 3, 4, 5}},
+                                       {{0, 7, 2}}, {}),
+               Error);
+}
+
+// -------------------------------------------------- the pre-joined entry
+
+TEST(SweepCpm, PrejoinedIsIndependentOfPairOrder) {
+  // The incremental engine hands its maintained pair multiset to
+  // run_sweep_cpm_prejoined in whatever order its maps yield; the buckets
+  // impose the only order the sweep needs.
+  SynthParams params = SynthParams::test_scale();
+  params.seed = 7;
+  const Graph g = generate_ecosystem(params).topology.graph;
+  const std::vector<NodeSet> cliques = maximal_cliques_of(g);
+  ThreadPool pool(2);
+  const std::vector<CliqueOverlap> pairs =
+      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 2, pool);
+  ASSERT_FALSE(pairs.empty());
+
+  const std::uint64_t in_order = cpm::canonical_digest(
+      as_result(run_sweep_cpm_prejoined(g, cliques, pairs)));
+  std::vector<CliqueOverlap> shuffled = pairs;
+  Rng rng(2024);
+  rng.shuffle(shuffled);
+  const std::uint64_t reordered = cpm::canonical_digest(
+      as_result(run_sweep_cpm_prejoined(g, cliques, std::move(shuffled))));
+  EXPECT_EQ(reordered, in_order);
+  EXPECT_EQ(in_order, cpm::canonical_digest(cpm::Engine().run(g)));
+}
+
+// ------------------------------------------------- memory budget + spill
+// (suite SweepCpmStream, run as the ctest entry test_stream_cpm)
+
+TEST(SweepCpmStream, ParsesMemoryBudgetUnits) {
+  EXPECT_EQ(parse_memory_budget("0"), 0u);
+  EXPECT_EQ(parse_memory_budget("65536"), 65536u);
+  EXPECT_EQ(parse_memory_budget("64K"), 64u * 1024);
+  EXPECT_EQ(parse_memory_budget("64k"), 64u * 1024);
+  EXPECT_EQ(parse_memory_budget("200M"), 200u * 1024 * 1024);
+  EXPECT_EQ(parse_memory_budget("1G"), 1024ull * 1024 * 1024);
+  EXPECT_EQ(parse_memory_budget("3g"), 3ull * 1024 * 1024 * 1024);
+}
+
+TEST(SweepCpmStream, RejectsMalformedMemoryBudgets) {
+  EXPECT_THROW(parse_memory_budget(""), Error);
+  EXPECT_THROW(parse_memory_budget("K"), Error);
+  EXPECT_THROW(parse_memory_budget("12X"), Error);
+  EXPECT_THROW(parse_memory_budget("64KB"), Error);
+  EXPECT_THROW(parse_memory_budget("1.5G"), Error);
+  EXPECT_THROW(parse_memory_budget("-1M"), Error);
+  EXPECT_THROW(parse_memory_budget("99999999999999999999"), Error);
+}
+
+TEST(SweepCpmStream, RejectsBudgetSmallerThanTheSpillChunk) {
+  // A budget that cannot stage even one reload chunk must fail loudly at
+  // entry, not thrash or silently ignore the cap.
+  cpm::Options options;
+  options.memory_budget = stream_min_memory_budget() - 1;
+  EXPECT_THROW(run_sweep_engine(complete_graph(4), options), Error);
+  EXPECT_THROW(cpm::Engine(options).run(complete_graph(4)), Error);
+  options.memory_budget = 1024;
+  EXPECT_THROW(run_sweep_engine(complete_graph(4), options), Error);
+  // The floor itself is accepted.
+  options.memory_budget = stream_min_memory_budget();
+  EXPECT_NO_THROW(run_sweep_engine(complete_graph(4), options));
+}
+
+TEST(SweepCpmStream, SpillsUnderAMinimalBudgetAndStaysExact) {
+  // Dense enough that the pair store far exceeds one spill chunk.
+  const Graph g = random_graph(80, 0.5, 5);
+  cpm::Options options;
+  options.memory_budget = stream_min_memory_budget();
+  const SweepCpmResult budgeted = run_sweep_engine(g, options);
+  EXPECT_GT(budgeted.stats.spilled_pairs, 0u);
+  EXPECT_GT(budgeted.stats.spill_bytes, 0u);
+  EXPECT_LE(budgeted.stats.spilled_pairs, budgeted.stats.pairs_total)
+      << "spilled pairs are a subset of stored pairs";
+
+  const CpmResult oracle = run_cpm(g, {});
+  expect_same_cpm(oracle, budgeted.cpm, "spilling run");
+  expect_same_tree(CommunityTree::build(oracle), budgeted.tree,
+                   "spilling run");
+
+  // Unlimited run on the same graph: same output, nothing spilled.
+  const SweepCpmResult unlimited = run_sweep_engine(g, {});
+  EXPECT_EQ(unlimited.stats.spilled_pairs, 0u);
+  EXPECT_EQ(unlimited.stats.pairs_total, budgeted.stats.pairs_total);
+  expect_same_cpm(oracle, unlimited.cpm, "unlimited run");
+
+  // The facade forwards the budget: still exact.
+  const cpm::Result facade = cpm::Engine(options).run(g);
+  EXPECT_EQ(cpm::canonical_digest(facade),
+            cpm::canonical_digest(cpm::Engine().run(g)));
+}
+
+TEST(SweepCpmStream, StatsReportPairsAndPeak) {
+  const Graph g = overlapping_cliques(6, 5, 3);
+  const SweepCpmResult sweep = run_sweep_engine(g, {});
+  // Two overlapping maximal cliques -> exactly one overlap pair.
+  EXPECT_EQ(sweep.stats.pairs_total, 1u);
+  EXPECT_EQ(sweep.stats.resident_pair_bytes_peak, 8u);
+  EXPECT_EQ(sweep.stats.spilled_pairs, 0u);
+  EXPECT_GE(sweep.stats.windows, 1u);
 }
 
 // ------------------------------------------------------- engine facade
@@ -124,14 +263,29 @@ TEST(CpmEngine, SweepAndPerKDispatchAgree) {
   expect_same_cpm(per_k.cpm, sweep.cpm, "engine dispatch");
   ASSERT_TRUE(sweep.has_tree);
   ASSERT_TRUE(per_k.has_tree);
-  EXPECT_EQ(sweep.tree.nodes().size(), per_k.tree.nodes().size());
+  expect_same_tree(per_k.tree, sweep.tree, "engine dispatch");
   EXPECT_EQ(sweep.engine_name, "sweep");
   EXPECT_EQ(per_k.engine_name, "per_k");
   EXPECT_EQ(sweep.exactness, cpm::Exactness::kExact);
   EXPECT_EQ(per_k.exactness, cpm::Exactness::kExact);
-  EXPECT_GT(sweep.timings.total_seconds, 0.0);
-  EXPECT_GT(sweep.timings.cliques_seconds, 0.0);
+  // The fused pass has no separate clique stage.
+  EXPECT_EQ(sweep.timings.cliques_seconds, 0.0);
   EXPECT_GT(sweep.timings.percolate_seconds, 0.0);
+  EXPECT_GT(sweep.timings.total_seconds, 0.0);
+  EXPECT_GT(per_k.timings.cliques_seconds, 0.0);
+}
+
+TEST(CpmEngine, RunOnCliquesDispatch) {
+  const Graph g = random_graph(40, 0.35, 9);
+  std::vector<NodeSet> cliques = maximal_cliques_of(g);
+  cpm::Options options;
+  options.engine = "per_k";
+  const cpm::Result per_k = cpm::Engine(options).run_on_cliques(g, cliques);
+  options.engine = "sweep";
+  const cpm::Result sweep =
+      cpm::Engine(options).run_on_cliques(g, std::move(cliques));
+  expect_same_cpm(per_k.cpm, sweep.cpm, "run_on_cliques dispatch");
+  expect_same_tree(per_k.tree, sweep.tree, "run_on_cliques dispatch");
 }
 
 TEST(CpmEngine, ReferenceEngineAgreesOnNodeSets) {
@@ -203,29 +357,16 @@ TEST(CpmEngine, ValidatesOptions) {
   EXPECT_THROW(cpm::Engine{options}, Error);
 }
 
-TEST(CpmEngine, ParsesEngineNames) {
-  // The deprecated EngineKind shim must stay wired to the registry names.
-  EXPECT_EQ(cpm::parse_engine("sweep"), cpm::EngineKind::kSweep);
-  EXPECT_EQ(cpm::parse_engine("per_k"), cpm::EngineKind::kPerK);
-  EXPECT_EQ(cpm::parse_engine("almost_exact"), cpm::EngineKind::kAlmostExact);
-  EXPECT_EQ(cpm::parse_engine("reference"), cpm::EngineKind::kReference);
-  EXPECT_THROW(cpm::parse_engine("bogus"), Error);
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kSweep), "sweep");
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kPerK), "per_k");
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kAlmostExact),
-               "almost_exact");
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kReference), "reference");
-}
-
 TEST(CpmEngine, OptionsFromCliAppliesSharedFlags) {
   const char* argv[] = {"prog", "--k-min=3", "--k-max=7", "--engine=per_k",
-                        "--threads=2"};
-  const CliArgs args(5, argv, cpm::engine_cli_flags());
+                        "--threads=2", "--memory-budget=64M"};
+  const CliArgs args(6, argv, cpm::engine_cli_flags());
   const cpm::Options options = cpm::options_from_cli(args);
   EXPECT_EQ(options.min_k, 3u);
   EXPECT_EQ(options.max_k, 7u);
   EXPECT_EQ(options.threads, 2u);
   EXPECT_EQ(options.engine, "per_k");
+  EXPECT_EQ(options.memory_budget, 64ull * 1024 * 1024);
 
   // Defaults pass through untouched when no flag is given.
   const char* bare[] = {"prog"};
@@ -236,6 +377,15 @@ TEST(CpmEngine, OptionsFromCliAppliesSharedFlags) {
                             defaults);
   EXPECT_EQ(kept.min_k, 4u);
   EXPECT_EQ(kept.engine, "sweep");
+
+  const char* bad_budget[] = {"prog", "--memory-budget=12X"};
+  EXPECT_THROW(cpm::options_from_cli(
+                   CliArgs(2, bad_budget, cpm::engine_cli_flags())),
+               Error);
+  const char* stream[] = {"prog", "--engine=stream"};
+  EXPECT_THROW(
+      cpm::options_from_cli(CliArgs(2, stream, cpm::engine_cli_flags())),
+      Error);
 }
 
 }  // namespace

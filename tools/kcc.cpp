@@ -94,7 +94,7 @@ int usage(std::ostream& out, int rc) {
       "  --k-min=N/--k-max=N bound the community order (aliases\n"
       "           --min-k/--max-k are accepted for compatibility)\n"
       "  --memory-budget=BYTES[K|M|G]\n"
-      "           stream engine only: cap resident overlap-pair bytes,\n"
+      "           sweep engine only: cap resident overlap-pair bytes,\n"
       "           spilling buckets to temp files past the cap (0 = off)\n"
       "  --clique-backend=auto|sparse|bitset\n"
       "           maximal-clique kernel: bitset packs each degeneracy\n"
