@@ -20,7 +20,7 @@ int body(const kcc::bench::HarnessConfig& config) {
             << " customer-provider links, " << peering
             << " peering links\n\n";
 
-  const CpmResult cpm = run_cpm(g);
+  const CpmResult cpm = kcc::cpm::Engine().run(g).cpm;
   TextTable table({"k", "communities", "mean peering fraction"});
   for (const auto& row : peering_by_k(g, eco.relationships, cpm)) {
     table.add(row.k, cpm.at(row.k).count(),

@@ -18,7 +18,7 @@ int body(const kcc::bench::HarnessConfig& config) {
   std::cout << "[run] robustness at test scale: " << g.num_nodes()
             << " ASes, " << g.num_edges() << " edges\n\n";
 
-  const CpmResult baseline = run_cpm(g);
+  const CpmResult baseline = cpm::Engine().run(g).cpm;
   std::cout << "Baseline: max k = " << baseline.max_k << ", "
             << baseline.total_communities() << " communities\n\n";
 

@@ -16,7 +16,7 @@ int body(const kcc::bench::HarnessConfig& config) {
   params.seed = config.pipeline.synth.seed;
   const AsEcosystem eco = generate_ecosystem(params);
   const Graph& g = eco.topology.graph;
-  const CpmResult cpm = run_cpm(g);
+  const CpmResult cpm = kcc::cpm::Engine().run(g).cpm;
   std::cout << "[run] z-P analysis at test scale: " << g.num_nodes()
             << " ASes, communities at k in [" << cpm.min_k << ", "
             << cpm.max_k << "]\n\n";

@@ -7,7 +7,7 @@
 #include "baselines/kcore.h"
 #include "baselines/kdense.h"
 #include "baselines/louvain.h"
-#include "cpm/cpm.h"
+#include "cpm/engine.h"
 #include "synth/as_topology.h"
 
 namespace {
@@ -73,8 +73,8 @@ BENCHMARK(BM_Louvain)->Unit(benchmark::kMillisecond);
 void BM_CpmFullRange(benchmark::State& state) {
   const Graph& g = ecosystem_graph();
   for (auto _ : state) {
-    auto result = run_cpm(g);
-    benchmark::DoNotOptimize(result.total_communities());
+    const cpm::Result result = cpm::Engine().run(g);
+    benchmark::DoNotOptimize(result.cpm.total_communities());
   }
 }
 BENCHMARK(BM_CpmFullRange)->Unit(benchmark::kMillisecond);

@@ -25,13 +25,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_json.h"
 #include "clique/bron_kerbosch.h"
-#include "clique/clique_stream.h"
 #include "clique/enumerator.h"
 #include "clique/parallel_cliques.h"
 #include "common/rng.h"
@@ -169,13 +169,14 @@ int bench_json(const std::string& json_path) {
     }
     {
       ThreadPool pool(0);
-      CliqueStreamOptions options;
+      clique::Options options;
       options.min_size = 2;
       std::vector<NodeSet> cliques;
       Timer t;
-      stream_maximal_cliques(g, pool, options, [&](NodeSet&& c) {
-        cliques.push_back(std::move(c));
-      });
+      clique::Enumerator(g, options).stream(
+          pool, [&](std::span<const NodeId> c) {
+            cliques.emplace_back(c.begin(), c.end());
+          });
       entries[2].best_ms = std::min(entries[2].best_ms, t.seconds() * 1e3);
       entries[2].cliques = cliques.size();
       if (cliques != expected) {

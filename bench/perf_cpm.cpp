@@ -8,19 +8,14 @@
 //
 // Special modes (used by the perf_cpm_* ctests):
 //   perf_cpm --verify-sweep [--json=FILE]
-// runs per_k, the sweep engine (unbudgeted and under a 1 MiB budget that
-// forces spilling) and almost_exact each in its own forked child on the
-// bench-scale synthetic graph, compares an FNV-1a digest of the full
-// structural output — communities, clique ids, clique maps and the nesting
-// tree (gate: both sweep runs must match the per_k oracle; almost_exact is
-// measured but exempt) — measures per-run wall time and peak-RSS growth,
-// and writes the machine-readable BENCH_cpm.json snapshot (schema in
-// docs/FORMATS.md). It exits without running the registered benchmarks.
-//   perf_cpm --verify-almost [--json=FILE]
-// scores the almost_exact engine against the exact sweep per graph family:
-// per-k community F1 curves (gate: worst F1 >= 0.99 on every family),
-// plus forked-child wall/peak-RSS comparisons over the full k range and a
-// high-k restriction, written to the BENCH_cpm_almost.json snapshot.
+// runs per_k and the sweep engine (unbudgeted and under a 1 MiB budget that
+// forces spilling) each in its own forked child on the bench-scale
+// synthetic graph, compares an FNV-1a digest of the full structural output
+// — communities, clique ids, clique maps and the nesting tree (gate: both
+// sweep runs must match the per_k oracle) — measures per-run wall time and
+// peak-RSS growth, and writes the machine-readable BENCH_cpm.json snapshot
+// (schema in docs/FORMATS.md). It exits without running the registered
+// benchmarks.
 #include <benchmark/benchmark.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,7 +32,6 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "cpm/compare.h"
 #include "cpm/engine.h"
 #include "cpm/reference_cpm.h"
 #include "cpm/sweep_cpm.h"
@@ -223,8 +217,6 @@ std::uint64_t digest_result(const CpmResult& cpm, const CommunityTree& tree) {
 struct EngineRun {
   const char* name;                 // registry name, see cpm::engine_registry()
   std::uint64_t memory_budget = 0;  // sweep only
-  std::size_t min_k = 2;            // raised for the high-k comparisons
-  bool exact = true;                // exempt from the digest gate when false
 };
 
 // Everything a measurement child reports back through its pipe.
@@ -267,7 +259,6 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
       // Direct call: the facade does not surface the spill statistics.
       cpm::Options options;
       options.memory_budget = config.memory_budget;
-      options.min_k = config.min_k;
       const SweepCpmResult result = run_sweep_engine(g, options);
       digest = digest_result(result.cpm, result.tree);
       communities = result.cpm.total_communities();
@@ -276,7 +267,6 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
     } else {
       cpm::Options options;
       options.engine = config.name;
-      options.min_k = config.min_k;
       const cpm::Result result = cpm::Engine(options).run(g);
       digest = digest_result(result.cpm, result.tree);
       communities = result.cpm.total_communities();
@@ -307,8 +297,8 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
   return report;
 }
 
-// Compares per_k / sweep / sweep-under-budget end to end (plus an
-// almost_exact measurement row): digest identity of both sweep runs with
+// Compares per_k / sweep / sweep-under-budget end to end: digest identity
+// of both sweep runs with
 // the per_k oracle gates the exit code; wall and peak-RSS numbers are
 // printed and written to `json_path`. Timing/memory never fail the check
 // (CI machines are noisy) — the committed snapshot is what documents the
@@ -325,9 +315,8 @@ int verify_sweep(const std::string& json_path) {
       {"per_k"},
       {"sweep"},
       {"sweep", budget},
-      {"almost_exact", 0, 2, /*exact=*/false},
   };
-  constexpr int kConfigs = 4;
+  constexpr int kConfigs = 3;
   constexpr int kBudgeted = 2;
   constexpr int kRounds = 2;
   ChildReport best[kConfigs];
@@ -358,7 +347,6 @@ int verify_sweep(const std::string& json_path) {
   }
 
   for (int i = 1; i < kConfigs; ++i) {
-    if (!configs[i].exact) continue;  // almost_exact: measured, not gated
     if (best[i].digest != best[0].digest) {
       std::cerr << "verify-sweep: FAIL — " << configs[i].name
                 << (configs[i].memory_budget ? " (budgeted)" : "")
@@ -390,7 +378,6 @@ int verify_sweep(const std::string& json_path) {
     const bool is_sweep = std::strcmp(configs[i].name, "sweep") == 0;
     bench::Json run;
     run.add("engine", configs[i].name);
-    run.add("exact", configs[i].exact);
     if (is_sweep) {
       run.add("memory_budget_bytes", configs[i].memory_budget);
     }
@@ -432,199 +419,20 @@ int verify_sweep(const std::string& json_path) {
   return 0;
 }
 
-// -------------------------------------------------------- --verify-almost
-
-// Scores the almost_exact engine (Baudin et al. 2021, bounded-memory
-// percolation without the overlap join) against the exact sweep, per graph
-// family. The gate is the exactness gap: worst per-k community F1 must stay
-// >= kMinF1 on every family. Wall/peak-RSS comparisons run in forked
-// children (full k range plus a high-k restriction, where the exact
-// engines' overlap pair list is most wasteful); timing and memory are
-// recorded in the BENCH_cpm_almost.json snapshot but never fail the check.
-int verify_almost(const std::string& json_path) {
-  constexpr double kMinF1 = 0.99;
-  constexpr int kRounds = 2;
-
-  struct Family {
-    const char* name;
-    const Graph* graph;
-  };
-  const Graph dense = random_graph(150, 0.3, 11);
-  const Family families[] = {
-      {"ecosystem_bench", &bench_graph()},
-      {"ecosystem_test", &ecosystem_graph()},
-      {"dense_random_150", &dense},
-  };
-
-  bool ok = true;
-  std::vector<bench::Json> family_docs;
-  for (const Family& family : families) {
-    const Graph& g = *family.graph;
-    std::cout << "verify-almost: " << family.name << ": " << g.num_nodes()
-              << " nodes, " << g.num_edges() << " edges\n";
-
-    // Exactness gap, in-process: the timing children below redo the runs
-    // cold, so warm caches here cost nothing.
-    cpm::Options exact_options;
-    exact_options.engine = "sweep";
-    const cpm::Result exact = cpm::Engine(exact_options).run(g);
-    cpm::Options almost_options;
-    almost_options.engine = "almost_exact";
-    const cpm::Result almost = cpm::Engine(almost_options).run(g);
-    cpm::CompareOptions compare_options;
-    compare_options.min_f1 = kMinF1;
-    const cpm::Comparison gap =
-        cpm::compare_results(exact, almost, compare_options);
-    std::cout << "verify-almost: " << family.name << ": " << gap.summary
-              << "\n";
-    if (!gap.ok) {
-      std::cerr << "verify-almost: FAIL — " << family.name
-                << " exceeds the exactness gap (worst F1 "
-                << fixed(gap.worst_f1, 4) << " at k=" << gap.worst_k
-                << ", threshold " << fixed(kMinF1, 2) << ")\n";
-      ok = false;
-    }
-
-    // High-k restriction: percolate only the top third of the k range.
-    const std::size_t max_k = exact.cpm.max_k;
-    const std::size_t high_k =
-        std::max<std::size_t>(3, std::min(max_k, (max_k * 2) / 3));
-
-    const EngineRun configs[] = {
-        {"sweep"},
-        {"almost_exact", 0, 2, /*exact=*/false},
-        {"sweep", 0, high_k},
-        {"almost_exact", 0, high_k, /*exact=*/false},
-    };
-    constexpr int kConfigs = 4;
-    ChildReport best[kConfigs];
-    for (int i = 0; i < kConfigs; ++i) {
-      for (int round = 0; round < kRounds; ++round) {
-        const ChildReport report = run_engine_in_child(g, configs[i]);
-        if (!report.ok) {
-          std::cerr << "verify-almost: FAIL — " << configs[i].name
-                    << " child did not report on " << family.name << "\n";
-          return 1;
-        }
-        if (round == 0) {
-          best[i] = report;
-        } else {
-          best[i].wall_ms = std::min(best[i].wall_ms, report.wall_ms);
-          best[i].peak_rss_delta =
-              std::min(best[i].peak_rss_delta, report.peak_rss_delta);
-        }
-      }
-      std::cout << "verify-almost: " << configs[i].name << " k>="
-                << configs[i].min_k << ": " << fixed(best[i].wall_ms, 2)
-                << " ms, peak +" << best[i].peak_rss_delta / (1024 * 1024)
-                << " MiB, " << best[i].communities << " communities\n";
-    }
-
-    auto ratio = [](double sweep_value, double almost_value) {
-      return almost_value == 0.0 ? 0.0 : sweep_value / almost_value;
-    };
-    const double full_wall = ratio(best[0].wall_ms, best[1].wall_ms);
-    const double full_peak = ratio(
-        static_cast<double>(best[0].peak_rss_delta),
-        static_cast<double>(best[1].peak_rss_delta));
-    const double high_wall = ratio(best[2].wall_ms, best[3].wall_ms);
-    const double high_peak = ratio(
-        static_cast<double>(best[2].peak_rss_delta),
-        static_cast<double>(best[3].peak_rss_delta));
-    std::cout << "verify-almost: " << family.name << " k>=" << high_k
-              << ": sweep wall is " << fixed(high_wall, 2)
-              << "x almost, sweep peak is " << fixed(high_peak, 2)
-              << "x almost\n";
-
-    std::vector<bench::Json> levels;
-    for (const cpm::LevelGap& level : gap.levels) {
-      bench::Json row;
-      row.add("k", static_cast<std::uint64_t>(level.k));
-      row.add("baseline_communities",
-              static_cast<std::uint64_t>(level.communities_baseline));
-      row.add("candidate_communities",
-              static_cast<std::uint64_t>(level.communities_candidate));
-      row.add("recall", level.recall);
-      row.add("precision", level.precision);
-      row.add("f1", level.f1);
-      levels.push_back(std::move(row));
-    }
-    bench::Json gap_doc;
-    gap_doc.add("identical", gap.identical);
-    gap_doc.add("worst_f1", gap.worst_f1);
-    gap_doc.add("worst_k", static_cast<std::uint64_t>(gap.worst_k));
-    gap_doc.add_array("levels", levels);
-
-    std::vector<bench::Json> runs;
-    for (int i = 0; i < kConfigs; ++i) {
-      bench::Json run;
-      run.add("engine", configs[i].name);
-      run.add("exact", configs[i].exact);
-      run.add("min_k", static_cast<std::uint64_t>(configs[i].min_k));
-      run.add("wall_ms", best[i].wall_ms);
-      run.add("peak_rss_delta_bytes", best[i].peak_rss_delta);
-      run.add("communities", best[i].communities);
-      runs.push_back(std::move(run));
-    }
-    bench::Json derived;
-    derived.add("full_sweep_over_almost_wall_ratio", full_wall);
-    derived.add("full_sweep_over_almost_peak_ratio", full_peak);
-    derived.add("high_k_sweep_over_almost_wall_ratio", high_wall);
-    derived.add("high_k_sweep_over_almost_peak_ratio", high_peak);
-
-    bench::Json fam;
-    fam.add("name", family.name);
-    fam.add("nodes", g.num_nodes());
-    fam.add("edges", g.num_edges());
-    fam.add("high_k", static_cast<std::uint64_t>(high_k));
-    fam.add("gap", gap_doc);
-    fam.add_array("runs", runs);
-    fam.add("derived", derived);
-    family_docs.push_back(std::move(fam));
-  }
-
-  bench::Json doc;
-  doc.add("bench", "perf_cpm --verify-almost");
-  doc.add("manifest", bench::manifest_json(obs::collect_manifest("perf_cpm")));
-  doc.add("rounds", static_cast<std::uint64_t>(kRounds));
-  doc.add("min_f1", kMinF1);
-  doc.add_array("families", family_docs);
-  std::ofstream out(json_path);
-  if (!out.good()) {
-    std::cerr << "verify-almost: cannot write " << json_path << "\n";
-    return 1;
-  }
-  out << doc.str() << "\n";
-  std::cout << "verify-almost: wrote " << json_path << "\n";
-  if (ok) {
-    std::cout << "verify-almost: OK — worst community F1 within "
-              << fixed(kMinF1, 2) << " of the exact sweep on all "
-              << family_docs.size() << " families\n";
-  }
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool verify_sweep_mode = false;
-  bool verify_almost_mode = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--verify-sweep") == 0) {
       verify_sweep_mode = true;
-    } else if (std::strcmp(argv[i], "--verify-almost") == 0) {
-      verify_almost_mode = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     }
   }
   if (verify_sweep_mode) {
     return verify_sweep(json_path.empty() ? "BENCH_cpm.json" : json_path);
-  }
-  if (verify_almost_mode) {
-    return verify_almost(json_path.empty() ? "BENCH_cpm_almost.json"
-                                           : json_path);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -25,7 +25,7 @@ int body(const kcc::bench::HarnessConfig& config) {
   std::cout << "[run] baseline comparison at test scale: " << g.num_nodes()
             << " ASes, " << g.num_edges() << " edges\n\n";
 
-  const CpmResult cpm = run_cpm(g);
+  const CpmResult cpm = kcc::cpm::Engine().run(g).cpm;
   const KCoreDecomposition kcore = kcore_decomposition(g);
 
   TextTable table({"method", "structure", "communities", "overlap"});

@@ -1,13 +1,11 @@
 #include "check/differential.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "clique/enumerator.h"
 #include "common/error.h"
-#include "cpm/compare.h"
 #include "cpm/sweep_cpm.h"
 #include "obs/metrics.h"
 
@@ -18,19 +16,17 @@ struct Variant {
   std::string label;
   cpm::Options options;
   bool node_sets_only = false;  // reference engine: no cliques / map / tree
-  bool approximate = false;     // gap-threshold mode instead of digest gate
 };
 
 // One option group: a k range plus every engine/thread/budget/backend
 // combination that must agree on it. The baseline is variants.front().
-// The engine rows come from the registry: every exact, polynomial engine
+// The engine rows come from the registry: every polynomial engine
 // gets t1 / tN / t1-bitset variants (pinning the sparse kernel on the
 // thread axis and crossing backends against it, so one group proves both
 // percolation equivalence and kernel equivalence), budget-capable engines
 // add a forced-spill and an auto-backend variant, and the default engine
 // adds the tN-bitset and bitset-hub crosses. Exponential oracles join on
-// tiny graphs only; approximate engines are appended last, flagged for the
-// gap gate.
+// tiny graphs only.
 std::vector<Variant> build_matrix(std::size_t min_k, std::size_t max_k,
                                   const Graph& g, const DiffOptions& diff) {
   const std::string suffix =
@@ -54,7 +50,7 @@ std::vector<Variant> build_matrix(std::size_t min_k, std::size_t max_k,
   matrix.push_back(make("per_k/t1", "per_k", 1, sparse));
 
   for (const cpm::EngineInfo& info : cpm::engine_registry()) {
-    if (!info.caps.exact || info.caps.exponential) continue;
+    if (info.caps.exponential) continue;
     if (info.name != "per_k") {  // baseline already holds per_k/t1
       matrix.push_back(make(info.name + "/t1", info.name, 1, sparse));
     }
@@ -87,24 +83,11 @@ std::vector<Variant> build_matrix(std::size_t min_k, std::size_t max_k,
   if (diff.include_reference && g.num_nodes() <= diff.reference_max_nodes &&
       g.num_edges() <= diff.reference_max_edges) {
     for (const cpm::EngineInfo& info : cpm::engine_registry()) {
-      if (!info.caps.exact || !info.caps.exponential) continue;
+      if (!info.caps.exponential) continue;
       Variant v = make(info.name, info.name, 1, sparse);
       v.options.build_tree = false;  // dropped from the comparison anyway
       v.node_sets_only = true;
       matrix.push_back(v);
-    }
-  }
-
-  if (diff.include_approximate) {
-    for (const cpm::EngineInfo& info : cpm::engine_registry()) {
-      if (info.caps.exact) continue;
-      for (const std::size_t threads : {std::size_t{1}, diff.threads}) {
-        Variant v = make(
-            info.name + (threads == 1 ? "/t1" : "/tN"), info.name, threads,
-            sparse);
-        v.approximate = true;
-        matrix.push_back(v);
-      }
     }
   }
   return matrix;
@@ -195,20 +178,20 @@ DiffOutcome run_differential(const Graph& g, const DiffOptions& options) {
 
   for (const auto& [min_k, max_k] : groups) {
     const std::vector<Variant> matrix = build_matrix(min_k, max_k, g, options);
-    // The last non-reference exact variant hosts the injected fault, so all
+    // The last non-reference variant hosts the injected fault, so all
     // three fault kinds (community / clique-map / tree) have a record to
     // corrupt and the digest gate must catch it.
     std::size_t fault_target = matrix.size();
     if (!fault_kind.empty()) {
       for (std::size_t i = matrix.size(); i-- > 0;) {
-        if (!matrix[i].node_sets_only && !matrix[i].approximate) {
+        if (!matrix[i].node_sets_only) {
           fault_target = i;
           break;
         }
       }
     }
 
-    cpm::Result baseline_result;     // kept for approximate-engine scoring
+    cpm::Result baseline_result;     // reordered lazily for baseline_lex_text
     std::string baseline_text;       // full canonical serialization
     std::string baseline_node_text;  // node-sets-only projection
     // Lazily-built projection for engines whose caps declare a
@@ -217,8 +200,6 @@ DiffOutcome run_differential(const Graph& g, const DiffOptions& options) {
     // serialization detail, so normalizing the baseline keeps the gate
     // byte-exact without exempting those engines from it.
     std::string baseline_lex_text;
-    // Previous approximate run per engine name: t1 vs tN must be identical.
-    std::string approx_prev_label, approx_prev_engine, approx_prev_text;
     for (std::size_t i = 0; i < matrix.size(); ++i) {
       const Variant& variant = matrix[i];
       cpm::Result result = cpm::Engine(variant.options).run(g);
@@ -252,42 +233,6 @@ DiffOutcome run_differential(const Graph& g, const DiffOptions& options) {
           }
         }
         baseline_result = std::move(result);
-        continue;
-      }
-
-      if (variant.approximate) {
-        // Gap mode: no digest gate against the baseline, but (a) the engine
-        // must be deterministic across thread counts and (b) its community
-        // F1 against the exact baseline must clear the threshold.
-        const std::string text = cpm::canonical_text(result);
-        if (approx_prev_engine == variant.options.engine) {
-          const std::string diff =
-              detail::first_diff(approx_prev_label, approx_prev_text,
-                                 variant.label, text);
-          if (!diff.empty()) {
-            mismatches_total.inc();
-            if (outcome.failure.empty()) {
-              outcome.failure = "approximate engine nondeterminism: " + diff;
-            }
-          }
-        }
-        approx_prev_label = variant.label;
-        approx_prev_engine = variant.options.engine;
-        approx_prev_text = text;
-
-        cpm::CompareOptions compare_options;
-        compare_options.min_f1 = options.approx_min_f1;
-        const cpm::Comparison gap =
-            cpm::compare_results(baseline_result, result, compare_options);
-        outcome.worst_approx_f1 =
-            std::min(outcome.worst_approx_f1, gap.worst_f1);
-        if (!gap.ok) {
-          mismatches_total.inc();
-          if (outcome.failure.empty()) {
-            outcome.failure = variant.label + " exceeds the exactness gap (" +
-                              gap.summary + ")";
-          }
-        }
         continue;
       }
 

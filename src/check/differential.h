@@ -4,8 +4,8 @@
 // (cpm::engine_registry()), so a newly registered backend joins the axis
 // without touching this file. For each option group (the full k range and a
 // restricted one) a baseline engine runs first (per_k, single-threaded —
-// the structure closest to the original LP-CPM oracle); every other *exact*
-// variant (each registered exact engine × threads ∈ {1, N}, spill/auto
+// the structure closest to the original LP-CPM oracle); every other
+// variant (each registered engine × threads ∈ {1, N}, spill/auto
 // variants for budget-capable engines, bitset/backend crosses, and — on
 // tiny graphs — the exponential reference engine) must produce a
 // byte-identical canonical serialization (cpm::canonical_text); variants of
@@ -17,22 +17,15 @@
 // canonical line, which pinpoints the k level / community / tree node that
 // went wrong.
 //
-// Approximate engines (EngineCaps::exact == false, e.g. almost_exact) are
-// exempt from the digest gate and held to a gap threshold instead: each
-// runs at t1 and tN (the two must still be byte-identical to each other —
-// approximation is no excuse for nondeterminism) and is scored against the
-// baseline with cpm::compare_results; worst per-k community F1 below
-// DiffOptions::approx_min_f1 is a failure.
-//
 // Fault-injection self-test: when the KCC_CHECK_INJECT_FAULT environment
 // variable is set ("community" | "clique-map" | "tree"), the runner corrupts
-// one record of the final exact variant's result before diffing. A healthy
-// harness must detect the corruption — tools/kcc_fuzz.cpp --expect-fault
-// turns this into a ctest guard against a vacuously-green fuzzer.
+// one record of the final non-reference variant's result before diffing. A
+// healthy harness must detect the corruption — tools/kcc_fuzz.cpp
+// --expect-fault turns this into a ctest guard against a vacuously-green
+// fuzzer.
 //
 // obs counters: check_graphs_total, check_variants_total,
 // check_invariants_total, check_mismatches_total, check_faults_injected_total
-// plus the cpm_gap_* family from compare_results
 // (catalog in docs/OBSERVABILITY.md).
 #pragma once
 
@@ -54,12 +47,6 @@ struct DiffOptions {
   std::size_t reference_max_edges = 80;
   /// Also run a restricted-k-range option group (min_k = 3, max_k = 5).
   bool include_restricted_range = true;
-  /// Run the registered approximate engines (almost_exact) in gap-threshold
-  /// mode against the baseline.
-  bool include_approximate = true;
-  /// Worst per-k community F1 an approximate engine may produce before the
-  /// run counts as a failure.
-  double approx_min_f1 = 0.99;
   InvariantOptions invariants;
 };
 
@@ -67,9 +54,6 @@ struct DiffOutcome {
   /// Variant labels that were executed, e.g. "sweep/t1", "sweep/t1/spill".
   std::size_t variants_run = 0;
   std::uint64_t invariants_checked = 0;
-  /// Worst per-k community F1 any approximate engine scored against the
-  /// baseline (1.0 when none ran or all were perfect).
-  double worst_approx_f1 = 1.0;
   /// Empty iff everything agreed and every invariant held.
   std::string failure;
   /// True when KCC_CHECK_INJECT_FAULT corrupted a record in this run.

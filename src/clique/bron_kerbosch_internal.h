@@ -73,7 +73,7 @@ void enumerate_sequential(const EnumContext& ctx, const CliqueSinkRef& sink);
 std::vector<NodeSet> collect_parallel(const EnumContext& ctx,
                                       ThreadPool& pool);
 
-/// Windowed streaming enumeration (see clique/clique_stream.h for the
+/// Windowed streaming enumeration (see clique_stream.cpp for the
 /// double-buffer protocol). `sink` runs on the calling thread. Returns the
 /// number of windows processed. `window_positions` must be >= 1.
 std::size_t stream_enumerate(const EnumContext& ctx, ThreadPool& pool,

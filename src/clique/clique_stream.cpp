@@ -1,5 +1,21 @@
-#include "clique/clique_stream.h"
-
+// Windowed streaming enumeration — the driver behind
+// clique::Enumerator::stream.
+//
+// Enumerator::collect materializes every maximal clique before the caller
+// sees the first one — fine when the caller wants the whole table,
+// wasteful when it consumes cliques incrementally (the sweep CPM engine,
+// cpm/sweep_cpm.h). This driver enumerates the degeneracy-ordered vertex
+// subproblems window by window: while the consumer drains window w on the
+// calling thread, the pool already enumerates window w+1 into the other
+// buffer. At most two windows of per-position slots are resident, so the
+// transient enumeration state is bounded by the window size instead of the
+// full clique count, and the hand-off is deadlock-free by construction (the
+// consumer never blocks on a task it has not yet scheduled).
+//
+// Determinism: cliques arrive in exactly the order Enumerator::collect
+// returns them — per-position slots drained in degeneracy-position order —
+// regardless of thread count or window size, so consumers that assign ids
+// by arrival order reproduce the batch enumerator's ids bit for bit.
 #include <algorithm>
 #include <atomic>
 #include <vector>
@@ -10,8 +26,7 @@
 #include "obs/log.h"
 #include "obs/trace.h"
 
-namespace kcc {
-namespace clique::detail {
+namespace kcc::clique::detail {
 namespace {
 
 // One window's enumeration state: a contiguous range of degeneracy
@@ -96,30 +111,10 @@ std::size_t stream_enumerate(const EnumContext& ctx, ThreadPool& pool,
     current.slots.shrink_to_fit();
     if (window_done) window_done(w + 1);
   }
-  KCC_LOG(kDebug) << "stream_maximal_cliques: " << n << " subproblems in "
+  KCC_LOG(kDebug) << "stream_enumerate: " << n << " subproblems in "
                   << num_windows << " windows of " << window << " on "
                   << pool.thread_count() << " threads";
   return num_windows;
 }
 
-}  // namespace clique::detail
-
-std::size_t stream_maximal_cliques(const Graph& g, ThreadPool& pool,
-                                   const CliqueStreamOptions& options,
-                                   const StreamCliqueVisitor& visit,
-                                   const StreamWindowVisitor& window_done) {
-  require(options.min_size >= 1,
-          "stream_maximal_cliques: min_size must be >= 1");
-  clique::Options opts;
-  opts.min_size = options.min_size;
-  opts.window_positions = options.window_positions;
-  const clique::Enumerator e(g, opts);
-  return e.stream(
-      pool,
-      [&](std::span<const NodeId> clique) {
-        visit(NodeSet(clique.begin(), clique.end()));
-      },
-      window_done ? clique::WindowFn(window_done) : clique::WindowFn{});
-}
-
-}  // namespace kcc
+}  // namespace kcc::clique::detail

@@ -1,10 +1,8 @@
 // clique::Enumerator — the one front door to maximal-clique enumeration.
 //
-// Historically the clique layer exposed three free functions
-// (maximal_cliques, parallel_maximal_cliques, stream_maximal_cliques), each
-// reporting cliques through a type-erased std::function visitor — one heap
-// allocation to build and an indirect, non-inlinable call per clique. The
-// Enumerator facade replaces that with:
+// Historically the clique layer reported cliques through type-erased
+// std::function visitors — one heap allocation to build and an indirect,
+// non-inlinable call per clique. The Enumerator facade replaces that with:
 //
 //  * a CliqueSink concept: any callable taking std::span<const NodeId>.
 //    The templated entry points erase the sink into a CliqueSinkRef (a raw
@@ -23,8 +21,8 @@
 //    cpm::canonical_digest is backend-independent, and check::differential
 //    crosses backends to prove it on every graph family.
 //
-// The legacy free functions remain as thin deprecated wrappers; new code
-// should construct an Enumerator:
+// maximal_cliques and parallel_maximal_cliques remain as collecting
+// convenience wrappers; everything else constructs an Enumerator:
 //
 //   clique::Options o;
 //   o.min_size = 2;

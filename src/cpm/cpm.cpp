@@ -8,7 +8,6 @@
 #include "common/thread_pool.h"
 #include "common/union_find.h"
 #include "cpm/clique_index.h"
-#include "cpm/community_tree.h"
 #include "cpm/percolate_detail.h"
 #include "graph/graph_algorithms.h"
 #include "obs/log.h"
@@ -120,85 +119,6 @@ std::size_t resolve_max_k(std::size_t min_k, std::size_t max_k,
       max_k == 0 ? max_clique : std::min(max_k, max_clique);
   // max_k < min_k encodes the empty range; has_k() is false for every k.
   return resolved < min_k ? min_k - 1 : resolved;
-}
-
-SweepSnapshotter::SweepSnapshotter(std::size_t num_cliques)
-    : stamp_(num_cliques, 0), slot_(num_cliques, 0) {}
-
-CommunitySet SweepSnapshotter::snapshot(std::size_t k, UnionFind& uf,
-                                        const std::vector<CliqueId>& live,
-                                        const std::vector<NodeSet>& cliques) {
-  CommunitySet set;
-  set.k = k;
-  ++epoch_;
-  for (CliqueId c : live) {
-    const std::uint32_t root = uf.find(c);
-    if (stamp_[root] != epoch_) {
-      stamp_[root] = epoch_;
-      slot_[root] = static_cast<std::uint32_t>(set.communities.size());
-      Community community;
-      community.k = k;
-      set.communities.push_back(std::move(community));
-    }
-    set.communities[slot_[root]].clique_ids.push_back(c);
-  }
-  for (Community& community : set.communities) {
-    // Activation appends size-k batches, so live is not globally sorted.
-    std::sort(community.clique_ids.begin(), community.clique_ids.end());
-    for (CliqueId c : community.clique_ids) {
-      community.nodes.insert(community.nodes.end(), cliques[c].begin(),
-                             cliques[c].end());
-    }
-    sort_unique(community.nodes);
-  }
-  return set;
-}
-
-DescendingLevelEmitter::DescendingLevelEmitter(const Graph& g,
-                                               CpmResult& result)
-    : g_(g), result_(result), tree_levels_(result.by_k.size()) {}
-
-void DescendingLevelEmitter::emit(CommunitySet set) {
-  const std::size_t k = set.k;
-  canonicalise(set, result_.cliques.size());
-  note_community_set(set);
-  if (k < result_.max_k) {
-    auto& above = tree_levels_[k + 1 - result_.min_k];
-    for (std::size_t i = 0; i < reps_above_.size(); ++i) {
-      above[i].parent_id = set.community_of_clique[reps_above_[i]];
-      require(above[i].parent_id != CommunitySet::kNoCommunity,
-              "DescendingLevelEmitter: nesting parent missing");
-    }
-  }
-  auto& links = tree_levels_[k - result_.min_k];
-  links.resize(set.count());
-  reps_above_.assign(set.count(), 0);
-  for (CommunityId id = 0; id < set.count(); ++id) {
-    links[id].size = set.communities[id].size();
-    reps_above_[id] = set.communities[id].clique_ids.front();
-  }
-  result_.by_k[k - result_.min_k] = std::move(set);
-}
-
-void DescendingLevelEmitter::emit_k2() {
-  CommunitySet set = percolate_k2(g_, result_.cliques);
-  note_community_set(set);
-  if (result_.max_k >= 3) {
-    auto& above = tree_levels_[1];
-    for (std::size_t i = 0; i < reps_above_.size(); ++i) {
-      above[i].parent_id = set.community_of_clique[reps_above_[i]];
-    }
-  }
-  auto& links = tree_levels_[0];
-  links.resize(set.count());
-  for (CommunityId id = 0; id < set.count(); ++id) {
-    links[id].size = set.communities[id].size();
-  }
-  result_.by_k[0] = std::move(set);
-}
-
-CommunityTree DescendingLevelEmitter::finish() const {
-  return CommunityTree::from_levels(result_.min_k, tree_levels_);
 }
 
 }  // namespace cpm_detail

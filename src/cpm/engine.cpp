@@ -11,7 +11,6 @@
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "cpm/almost_cpm.h"
 #include "cpm/incr_cpm.h"
 #include "cpm/reference_cpm.h"
 #include "cpm/sweep_cpm.h"
@@ -69,9 +68,8 @@ CpmResult collect_per_k(const Options& options, Fn&& communities_at) {
   return result_from_node_sets(options.min_k, std::move(by_k));
 }
 
-// Adopts a sweep-shaped {cpm, tree} pair into a Result, honoring build_tree.
-template <typename SweepShaped>
-Result adopt_sweep_result(const Options& options, SweepShaped shaped,
+// Adopts the sweep's {cpm, tree} pair into a Result, honoring build_tree.
+Result adopt_sweep_result(const Options& options, SweepCpmResult shaped,
                           Timer& total) {
   Result result;
   result.cpm = std::move(shaped.cpm);
@@ -153,18 +151,6 @@ Result run_per_k_cliques(const Options& options, const Graph& g,
   return result;
 }
 
-Result run_almost_cliques(const Options& options, const Graph& g,
-                          std::vector<NodeSet> cliques) {
-  KCC_SPAN("cpm_engine/almost_exact");
-  Timer total;
-  AlmostCpmResult almost = [&] {
-    obs::StageScope stage("percolate");
-    return run_almost_cpm_on_cliques(g, std::move(cliques),
-                                     options.cpm_options());
-  }();
-  return adopt_sweep_result(options, std::move(almost), total);
-}
-
 std::vector<EngineInfo>& mutable_registry() {
   static std::vector<EngineInfo> registry = [] {
     std::vector<EngineInfo> built_in;
@@ -200,16 +186,6 @@ std::vector<EngineInfo>& mutable_registry() {
       incremental.run = &run_incremental_full;
       incremental.run_on_cliques = &run_incremental_on_cliques;
       built_in.push_back(std::move(incremental));
-    }
-    {
-      EngineInfo almost;
-      almost.name = "almost_exact";
-      almost.summary =
-          "Baudin et al. bounded-memory percolation over per-node community "
-          "candidates; no overlap join, output approximate (F1-gated)";
-      almost.caps.exact = false;
-      almost.run_on_cliques = &run_almost_cliques;
-      built_in.push_back(std::move(almost));
     }
     {
       EngineInfo reference;
@@ -331,8 +307,6 @@ Result Engine::run(const Graph& g) const {
     result.timings.total_seconds += cliques_seconds;
   }
   result.engine_name = info_->name;
-  result.exactness =
-      info_->caps.exact ? Exactness::kExact : Exactness::kAlmostExact;
   obs::annotate_run("cpm_engine", result.engine_name);
   obs::annotate_run("cpm_exactness", exactness_name(result.exactness));
   return result;
@@ -348,8 +322,6 @@ Result Engine::run_on_cliques(const Graph& g,
   }
   Result result = info_->run_on_cliques(options_, g, std::move(cliques));
   result.engine_name = info_->name;
-  result.exactness =
-      info_->caps.exact ? Exactness::kExact : Exactness::kAlmostExact;
   obs::annotate_run("cpm_engine", result.engine_name);
   obs::annotate_run("cpm_exactness", exactness_name(result.exactness));
   return result;
@@ -360,8 +332,6 @@ Result Engine::run_weighted(const Graph& g, const EdgeWeights& weights) const {
   Timer total;
   Result result;
   result.engine_name = info_->name;
-  result.exactness =
-      info_->caps.exact ? Exactness::kExact : Exactness::kAlmostExact;
   obs::StageScope stage("percolate");
   result.cpm = collect_per_k(options_, [&](std::size_t k) {
     WeightedCpmOptions weighted;

@@ -17,8 +17,8 @@
 //   use(result.cpm.at(5), result.tree);
 //
 // Engines are looked up by name in a string-keyed registry
-// (engine_registry()) instead of a closed enum, so backends can be added —
-// including approximate ones — without touching every dispatch site. Each
+// (engine_registry()) instead of a closed enum, so backends can be added
+// without touching every dispatch site. Each
 // EngineInfo carries capability flags; CLI help text, the kcc_bench matrix
 // and the check::differential axis are all generated from the registry.
 #pragma once
@@ -40,9 +40,11 @@ namespace kcc::cpm {
 struct Options;
 struct Result;
 
-/// Whether an engine's output is byte-identical to the exact CPM definition
-/// or a bounded approximation of it. Carried on every Result so downstream
-/// artifacts (run reports, canonical text, bench JSON) are self-describing.
+/// Provenance of a Result: every registered engine is exact, so runs always
+/// carry kExact. kAlmostExact names the approximate engine that earlier
+/// builds shipped; it stays so the serialized field (canonical text header,
+/// snapshot META, serve `info`) keeps its encoding and older artifacts still
+/// read back.
 enum class Exactness { kExact, kAlmostExact };
 
 const char* exactness_name(Exactness exactness);
@@ -51,10 +53,6 @@ const char* exactness_name(Exactness exactness);
 /// bench matrix and option validation key off these instead of hardcoding
 /// engine names.
 struct EngineCaps {
-  /// Output is byte-identical to every other exact engine (the digest gate
-  /// applies). Approximate engines are compared by community similarity
-  /// (cpm/compare.h) instead.
-  bool exact = true;
   /// Honors Options::memory_budget / Options::spill_dir.
   bool supports_memory_budget = false;
   /// Produces the Fig. 4.2 nesting tree when Options::build_tree is set.
@@ -98,10 +96,9 @@ struct EngineInfo {
 /// cpm/sweep_cpm.h), per_k (one independent percolation per k; the original
 /// LP-CPM structure, kept as the digest oracle), incremental (live
 /// clique/overlap state patched under edge batches — cpm/incr_cpm.h —
-/// materialized through the sweep tail; exact, lexicographic clique order),
-/// almost_exact (Baudin et al. 2021 bounded-memory percolation over
-/// per-node community candidates — no overlap join; approximate) and
-/// reference (the literal k-clique-graph definition; exponential).
+/// materialized through the sweep tail; lexicographic clique order) and
+/// reference (the literal k-clique-graph definition; exponential). Every
+/// engine is exact: their canonical outputs are byte-identical.
 /// docs/ALGORITHMS.md compares them with measured numbers.
 const std::vector<EngineInfo>& engine_registry();
 
@@ -116,7 +113,7 @@ const EngineInfo& engine_info(const std::string& name);
 /// for out-of-tree experiments; the built-ins are always present.
 void register_engine(EngineInfo info);
 
-/// "sweep|per_k|incremental|almost_exact|reference" — the registered names
+/// "sweep|per_k|incremental|reference" — the registered names
 /// joined with `sep`, for help/error text.
 std::string engine_names_joined(char sep = '|');
 
@@ -188,9 +185,9 @@ struct Result {
   CpmResult cpm;       // communities for every k, plus the clique table
   CommunityTree tree;  // valid iff has_tree
   bool has_tree = false;
-  /// Provenance: which registered engine produced this, and whether its
-  /// output is exact. Serialized into canonical_text headers and run
-  /// reports.
+  /// Provenance: which registered engine produced this, and its exactness
+  /// (always kExact from a run). Serialized into canonical_text headers and
+  /// run reports.
   std::string engine_name = "sweep";
   Exactness exactness = Exactness::kExact;
   Timings timings;
@@ -231,11 +228,10 @@ struct CanonicalOptions {
 };
 
 /// Deterministic line-oriented serialization of a Result, opening with an
-/// `exactness exact|almost_exact` header. Two Results are byte-identical
-/// under the exact engines' output contract iff their canonical texts are
-/// equal; the check:: differential runner diffs these to pinpoint the first
-/// divergence between engines. Approximate results are compared by
-/// similarity instead (cpm/compare.h).
+/// `exactness exact` header. Two Results are byte-identical under the
+/// engines' output contract iff their canonical texts are equal; the check::
+/// differential runner diffs these to pinpoint the first divergence between
+/// engines.
 std::string canonical_text(const Result& result,
                            const CanonicalOptions& options = {});
 

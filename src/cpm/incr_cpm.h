@@ -200,8 +200,8 @@ class IncrementalCpm {
   std::uint64_t cliques_retired_ = 0;
 };
 
-/// Registry hooks for the `incremental` engine (caps.exact,
-/// caps.canonical_clique_order). The full-run hook deliberately exercises
+/// Registry hooks for the `incremental` engine
+/// (caps.canonical_clique_order). The full-run hook deliberately exercises
 /// churn: it bootstraps on the graph minus a held-back suffix of edges and
 /// apply()s them as one batch, so every differential-matrix run covers the
 /// patch path, not just the bootstrap.

@@ -12,6 +12,7 @@
 
 #include "clique/enumerator.h"
 #include "common/error.h"
+#include "common/set_ops.h"
 #include "common/thread_pool.h"
 #include "common/union_find.h"
 #include "cpm/engine.h"
@@ -59,6 +60,121 @@ void release(std::vector<T>& v) {
   v.shrink_to_fit();
 }
 
+// Groups live cliques by union-find root into one level-k CommunitySet.
+// The root -> community-slot scratch map is epoch-stamped, so each snapshot
+// is O(|live|) with no per-level clearing; the union-find itself is never
+// copied or rolled back.
+class SweepSnapshotter {
+ public:
+  explicit SweepSnapshotter(std::size_t num_cliques)
+      : stamp_(num_cliques, 0), slot_(num_cliques, 0) {}
+
+  // Components over `live` at level `k`, with node sets materialized from
+  // `cliques` and clique ids sorted (not yet canonicalised — the emitter
+  // does that).
+  CommunitySet snapshot(std::size_t k, UnionFind& uf,
+                        const std::vector<CliqueId>& live,
+                        const std::vector<NodeSet>& cliques) {
+    CommunitySet set;
+    set.k = k;
+    ++epoch_;
+    for (CliqueId c : live) {
+      const std::uint32_t root = uf.find(c);
+      if (stamp_[root] != epoch_) {
+        stamp_[root] = epoch_;
+        slot_[root] = static_cast<std::uint32_t>(set.communities.size());
+        Community community;
+        community.k = k;
+        set.communities.push_back(std::move(community));
+      }
+      set.communities[slot_[root]].clique_ids.push_back(c);
+    }
+    for (Community& community : set.communities) {
+      // Activation appends size-k batches, so live is not globally sorted.
+      std::sort(community.clique_ids.begin(), community.clique_ids.end());
+      for (CliqueId c : community.clique_ids) {
+        community.nodes.insert(community.nodes.end(), cliques[c].begin(),
+                               cliques[c].end());
+      }
+      sort_unique(community.nodes);
+    }
+    return set;
+  }
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint32_t> slot_;
+  std::uint32_t epoch_ = 0;
+};
+
+// Receives the per-k community sets of the descending-k sweep — from
+// result.max_k down to max(3, result.min_k), then optionally the k = 2
+// level — canonicalises each, wires the nesting parents of the level above
+// through its representative cliques, and assembles the community tree.
+// `result.min_k`, `result.max_k` and `result.by_k` must be sized before
+// construction; `result.cliques` must hold the full clique table.
+class DescendingLevelEmitter {
+ public:
+  DescendingLevelEmitter(const Graph& g, CpmResult& result)
+      : g_(g), result_(result), tree_levels_(result.by_k.size()) {}
+
+  // Emits the level for `set.k`. Levels must arrive in strictly descending
+  // k order.
+  void emit(CommunitySet set) {
+    const std::size_t k = set.k;
+    cpm_detail::canonicalise(set, result_.cliques.size());
+    cpm_detail::note_community_set(set);
+    if (k < result_.max_k) {
+      auto& above = tree_levels_[k + 1 - result_.min_k];
+      for (std::size_t i = 0; i < reps_above_.size(); ++i) {
+        above[i].parent_id = set.community_of_clique[reps_above_[i]];
+        require(above[i].parent_id != CommunitySet::kNoCommunity,
+                "DescendingLevelEmitter: nesting parent missing");
+      }
+    }
+    auto& links = tree_levels_[k - result_.min_k];
+    links.resize(set.count());
+    reps_above_.assign(set.count(), 0);
+    for (CommunityId id = 0; id < set.count(); ++id) {
+      links[id].size = set.communities[id].size();
+      reps_above_[id] = set.communities[id].clique_ids.front();
+    }
+    result_.by_k[k - result_.min_k] = std::move(set);
+  }
+
+  // Emits the k = 2 level (connected components) and resolves the k = 3
+  // parents. Call after every k >= 3 level, only when result.min_k == 2.
+  void emit_k2() {
+    CommunitySet set = cpm_detail::percolate_k2(g_, result_.cliques);
+    cpm_detail::note_community_set(set);
+    if (result_.max_k >= 3) {
+      auto& above = tree_levels_[1];
+      for (std::size_t i = 0; i < reps_above_.size(); ++i) {
+        above[i].parent_id = set.community_of_clique[reps_above_[i]];
+      }
+    }
+    auto& links = tree_levels_[0];
+    links.resize(set.count());
+    for (CommunityId id = 0; id < set.count(); ++id) {
+      links[id].size = set.communities[id].size();
+    }
+    result_.by_k[0] = std::move(set);
+  }
+
+  CommunityTree finish() const {
+    return CommunityTree::from_levels(result_.min_k, tree_levels_);
+  }
+
+ private:
+  const Graph& g_;
+  CpmResult& result_;
+  std::vector<std::vector<TreeParentLink>> tree_levels_;
+  // Representative clique of each community at the previously emitted
+  // (next-higher) level, in canonical id order; resolving it against the
+  // current level's clique -> community map yields the nesting parent.
+  std::vector<CliqueId> reps_above_;
+};
+
 // One overlap value's pairs: a resident tail plus an optional spilled
 // prefix. The per-overlap buckets double as the descending sort.
 struct Bucket {
@@ -105,10 +221,14 @@ class SweepPercolator {
 
   void add_clique(NodeSet&& clique) {
     const CliqueId c = static_cast<CliqueId>(cliques_.size());
-    // max_k == 2 never consumes overlap pairs: communities are connected
-    // components, so skip the join entirely.
-    if (max_k_ != 2) join_against_index(c, clique);
-    for (NodeId v : clique) index_[v].push_back(c);
+    // Two distinct maximal cliques share fewer nodes than the smaller one
+    // holds, so a clique of size <= prune_min_ takes part only in pairs
+    // below the prune floor: it is neither joined nor indexed. max_k == 2
+    // consumes no pairs at all (communities are connected components).
+    if (max_k_ != 2 && clique.size() > prune_min_) {
+      join_against_index(c, clique);
+      for (NodeId v : clique) index_[v].push_back(c);
+    }
     stamp_.push_back(0);
     count_.push_back(0);
     cliques_.push_back(std::move(clique));
@@ -178,7 +298,7 @@ class SweepPercolator {
       max_size = std::max(max_size, c.size());
     }
     result.by_k.resize(result.max_k - result.min_k + 1);
-    cpm_detail::DescendingLevelEmitter emitter(g_, result);
+    DescendingLevelEmitter emitter(g_, result);
 
     if (result.max_k >= 3) {
       KCC_SPAN("sweep_cpm/sweep");
@@ -192,7 +312,7 @@ class SweepPercolator {
       UnionFind uf(num_cliques);
       std::vector<CliqueId> live;  // cliques of size >= current level
       std::uint64_t join_ops = 0;
-      cpm_detail::SweepSnapshotter snapshotter(num_cliques);
+      SweepSnapshotter snapshotter(num_cliques);
 
       const std::size_t lowest = std::max<std::size_t>(3, result.min_k);
       for (std::size_t k = max_size; k >= lowest; --k) {

@@ -17,7 +17,10 @@
 //     8-byte {a, b} record: the buckets ARE the descending sort, so no
 //     sort pass and no second copy of the pairs exist. Pairs with overlap
 //     below max(3, min_k) - 1 — which no sweep level would ever consume —
-//     are dropped at birth.
+//     are dropped at birth, and a clique no larger than that floor is
+//     neither joined nor indexed: it shares fewer nodes than it holds with
+//     any other maximal clique, so all its pairs would be dropped. At high
+//     min_k this skips most of the clique table.
 //  3. When a memory budget is set and the resident pair bytes exceed it,
 //     whole buckets spill to temp files (largest first) and are streamed
 //     back one fixed-size chunk at a time while the sweep drains their
@@ -29,9 +32,9 @@
 //     bucket (pairs with larger overlap were united at higher k); after
 //     those unions the union-find components over the live cliques ARE the
 //     k-clique communities at k. Each requested level is materialized from
-//     that snapshot through cpm_detail::DescendingLevelEmitter, which also
-//     resolves each (k+1)-community's nesting parent — so the community
-//     tree (Fig. 4.2) falls out of the same pass.
+//     that snapshot through the level emitter, which also resolves each
+//     (k+1)-community's nesting parent — so the community tree (Fig. 4.2)
+//     falls out of the same pass.
 //
 // Every pair is therefore united exactly once across all k, and the output
 // (community node sets, ids, clique maps, tree) is bit-identical to the

@@ -230,8 +230,10 @@ TEST(Enumerator, LegacyWrappersMatchFacade) {
   opts.min_size = 3;
   EXPECT_EQ(maximal_cliques(g, 3), clique::Enumerator(g, opts).collect());
   std::vector<NodeSet> visited;
-  for_each_maximal_clique(g, [&](const NodeSet& c) { visited.push_back(c); });
-  EXPECT_EQ(visited, clique::Enumerator(g).collect());
+  clique::Enumerator(g).for_each([&](std::span<const NodeId> c) {
+    visited.emplace_back(c.begin(), c.end());
+  });
+  EXPECT_EQ(visited, maximal_cliques(g));
 }
 
 TEST(ReferenceEnumerator, AllKCliquesOnCompleteGraph) {

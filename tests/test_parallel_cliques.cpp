@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "clique/bron_kerbosch.h"
-#include "clique/clique_stream.h"
 #include "clique/enumerator.h"
 #include "test_helpers.h"
 
@@ -61,12 +60,13 @@ std::vector<NodeSet> collect_stream(const Graph& g, std::size_t threads,
                                     std::size_t window,
                                     std::size_t min_size = 1) {
   ThreadPool pool(threads);
-  CliqueStreamOptions options;
+  clique::Options options;
   options.min_size = min_size;
   options.window_positions = window;
   std::vector<NodeSet> out;
-  stream_maximal_cliques(g, pool, options,
-                         [&](NodeSet&& c) { out.push_back(std::move(c)); });
+  clique::Enumerator(g, options).stream(pool, [&](std::span<const NodeId> c) {
+    out.emplace_back(c.begin(), c.end());
+  });
   return out;
 }
 
@@ -123,11 +123,11 @@ TEST(CliqueStream, EnumeratorWindowSizeDoesNotChangeTheSequence) {
 TEST(CliqueStream, ReportsWindowBoundariesInOrder) {
   const Graph g = random_graph(40, 0.2, 1);
   ThreadPool pool(2);
-  CliqueStreamOptions options;
+  clique::Options options;
   options.window_positions = 7;  // 40 positions -> 6 windows
   std::vector<std::size_t> boundaries;
-  const std::size_t windows = stream_maximal_cliques(
-      g, pool, options, [](NodeSet&&) {},
+  const std::size_t windows = clique::Enumerator(g, options).stream(
+      pool, [](std::span<const NodeId>) {},
       [&](std::size_t done) { boundaries.push_back(done); });
   EXPECT_EQ(windows, 6u);
   ASSERT_EQ(boundaries.size(), 6u);

@@ -147,6 +147,17 @@ TEST(Snapshot, ManifestAndDigestExposed) {
   EXPECT_NE(generated.find("\"exactness\":\"exact\""), std::string::npos);
 }
 
+TEST(Snapshot, ApproximateProvenanceFromEarlierBuildsStillOpens) {
+  // Earlier builds shipped an approximate engine and wrote exactness 1
+  // into META. No engine produces it any more, but such files must still
+  // open and report their provenance unchanged.
+  cpm::Result result =
+      run_engine("sweep", testing::overlapping_cliques(5, 4, 2));
+  result.engine_name = "almost_exact";
+  result.exactness = cpm::Exactness::kAlmostExact;
+  expect_round_trip(result, "almost_exact_provenance");
+}
+
 // -- rejection cases --------------------------------------------------------
 
 class SnapshotCorruption : public ::testing::Test {

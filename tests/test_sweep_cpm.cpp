@@ -5,6 +5,7 @@
 // the cpm::Engine facade that fronts every engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,65 @@ TEST(SweepCpm, MatchesOracleWithRestrictedKRange) {
     check_graph(g, "min_k=" + std::to_string(min_k), options);
     options.max_k = min_k + 2;
     check_graph(g, "k in [" + std::to_string(min_k) + ", +2]", options);
+  }
+}
+
+// At min_k >= 4 the sweep neither joins nor indexes a clique of size
+// <= max(3, min_k) - 1: such a clique shares too few nodes with any other
+// maximal clique for a pair the sweep keeps. Full-range runs only skip
+// edges (size-2 cliques), so these windows are where the skip bites.
+TEST(SweepCpm, MatchesOracleWhereTheJoinSkipsSmallCliques) {
+  SynthParams params = SynthParams::test_scale();
+  params.seed = 7;
+  const Graph g = generate_ecosystem(params).topology.graph;
+  const std::vector<NodeSet> cliques = maximal_cliques_of(g);
+  std::size_t max_size = 0;
+  for (const NodeSet& c : cliques) max_size = std::max(max_size, c.size());
+  ASSERT_GE(max_size, 6u);
+  ThreadPool pool(2);
+  const std::vector<CliqueOverlap> all_pairs =
+      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 2, pool);
+
+  for (const std::size_t min_k : {std::size_t{4}, max_size - 1}) {
+    const std::string label = "min_k=" + std::to_string(min_k);
+    const std::size_t floor = min_k - 1;  // the sweep's prune floor
+    const auto skipped = std::count_if(
+        cliques.begin(), cliques.end(),
+        [&](const NodeSet& c) { return c.size() <= floor; });
+    ASSERT_GT(skipped, 0) << label << ": the skip branch is never taken";
+    // Pairs the sweep keeps, counted from the unpruned join: the number a
+    // join over every clique stores.
+    const auto kept = std::count_if(
+        all_pairs.begin(), all_pairs.end(),
+        [&](const CliqueOverlap& p) { return p.overlap >= floor; });
+
+    cpm::Options options;
+    options.min_k = min_k;
+    cpm::Options oracle_options = options;
+    oracle_options.engine = "per_k";
+    const cpm::Engine sweep(options);
+    const cpm::Engine oracle(oracle_options);
+    EXPECT_EQ(cpm::canonical_digest(sweep.run(g)),
+              cpm::canonical_digest(oracle.run(g)))
+        << label;
+    EXPECT_EQ(cpm::canonical_digest(sweep.run_on_cliques(g, cliques)),
+              cpm::canonical_digest(oracle.run_on_cliques(g, cliques)))
+        << label;
+
+    EXPECT_EQ(run_sweep_engine(g, options).stats.pairs_total,
+              static_cast<std::uint64_t>(kept))
+        << label;
+    EXPECT_EQ(run_sweep_engine_on_cliques(g, cliques, options)
+                  .stats.pairs_total,
+              static_cast<std::uint64_t>(kept))
+        << label;
+    // The prejoined entry takes the unpruned pair list, so it also pins
+    // the count the join must reproduce.
+    EXPECT_EQ(run_sweep_cpm_prejoined(g, cliques, all_pairs,
+                                      options.cpm_options())
+                  .stats.pairs_total,
+              static_cast<std::uint64_t>(kept))
+        << label;
   }
 }
 

@@ -86,9 +86,7 @@ int usage(std::ostream& out, int rc) {
   // The per-engine help lines come from the registry, so a newly
   // registered backend documents itself.
   for (const cpm::EngineInfo& info : cpm::engine_registry()) {
-    out << "           " << info.name << ": " << info.summary;
-    if (!info.caps.exact) out << " [approximate]";
-    out << "\n";
+    out << "           " << info.name << ": " << info.summary << "\n";
   }
   out <<
       "  --k-min=N/--k-max=N bound the community order (aliases\n"

@@ -9,7 +9,7 @@
 // significant regressions.
 //
 //   kcc_bench [--scale=test|bench|paper] [--seed=N] [--reps=5] [--threads=0]
-//             [--engines=sweep,per_k,incremental,almost_exact,reference]
+//             [--engines=sweep,per_k,incremental,reference]
 //             [--backends=sparse,bitset] [--no-budgeted]
 //             [--out=REPORT.json] [--trajectory=FILE.jsonl]
 //             [--compare=BASELINE.json] [--in=REPORT.json]
@@ -26,9 +26,9 @@
 // how to read a failure).
 //
 // The default engine list and each config's capabilities (exponential ->
-// tiny fixed graph, approximate -> exempt from the cross-config digest
-// gate) come from the cpm engine registry, so a newly registered backend
-// joins the matrix without touching this driver.
+// tiny fixed graph, memory budget -> extra budgeted config) come from the
+// cpm engine registry, so a newly registered backend joins the matrix
+// without touching this driver.
 //
 // The reference engine is exponential, so its configs run on a fixed tiny
 // random graph (not the --scale ecosystem): its rows track the trend of
@@ -70,7 +70,6 @@ struct BenchConfig {
   clique::Backend backend;
   std::uint64_t memory_budget = 0;
   bool tiny_graph = false;     // reference: capped graph, not the ecosystem
-  bool exact = true;           // approximate engines skip the digest gate
 };
 
 struct DriverOptions {
@@ -181,7 +180,6 @@ std::vector<BenchConfig> build_matrix(const DriverOptions& o) {
       config.backend = clique::parse_backend(backend_name);
       config.label = engine_name + "/" + backend_name;
       config.tiny_graph = info.caps.exponential;
-      config.exact = info.caps.exact;
       matrix.push_back(config);
     }
   }
@@ -409,7 +407,6 @@ void write_report(std::ostream& out, const DriverOptions& o,
     out << "{\"label\":\"" << r.config.label << "\",\"engine\":\""
         << r.config.engine << "\",\"clique_backend\":\""
         << clique::backend_name(r.config.backend) << "\"";
-    out << ",\"exact\":" << (r.config.exact ? "true" : "false");
     out << ",\"memory_budget_bytes\":" << r.config.memory_budget;
     out << ",\"graph\":\"" << (r.config.tiny_graph ? "tiny" : "scale")
         << "\"";
@@ -556,16 +553,13 @@ int run_matrix(const DriverOptions& o, std::vector<ConfigResult>& results,
     results.push_back(std::move(result));
   }
 
-  // Digest gate: every exact non-reference config ran the same workload, so
+  // Digest gate: every non-reference config ran the same workload, so
   // their canonical digests — taken in canonical clique order, see the
   // child — must agree (the differential fuzzer proves this
-  // at depth; here it guards the measurement itself). Approximate engines
-  // are exempt — their output contract is the F1 gap gate in
-  // check::differential, not byte identity — but the per-rep determinism
-  // check above still applies to them.
+  // at depth; here it guards the measurement itself).
   const ConfigResult* baseline = nullptr;
   for (const ConfigResult& r : results) {
-    if (r.config.tiny_graph || !r.config.exact) continue;
+    if (r.config.tiny_graph) continue;
     if (baseline == nullptr) {
       baseline = &r;
     } else if (r.digest != baseline->digest) {

@@ -46,7 +46,6 @@ const std::set<std::string>& allowlisted_flags() {
       "--test-dir",           // ctest
       "--output-on-failure",  // ctest
       "--verify-sweep",       // bench/perf_cpm
-      "--verify-almost",      // bench/perf_cpm
       "--json",               // bench/perf_cpm, bench/perf_serve
       "--bench-json",         // bench/perf_cliques
       "--scaling",            // bench/perf_cliques

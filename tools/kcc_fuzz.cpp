@@ -171,7 +171,6 @@ int main(int argc, char** argv) {
     std::size_t batches_run = 0;
     std::uint64_t invariants_checked = 0;
     std::size_t faults_injected = 0;
-    double worst_approx_f1 = 1.0;
     std::optional<FailureRecord> first_failure;
     std::optional<check::ChurnOutcome> churn_failure;
 
@@ -180,7 +179,6 @@ int main(int argc, char** argv) {
       ++graphs_run;
       variants_run += outcome.variants_run;
       invariants_checked += outcome.invariants_checked;
-      worst_approx_f1 = std::min(worst_approx_f1, outcome.worst_approx_f1);
       if (outcome.fault_injected) ++faults_injected;
       if (!outcome.ok() && !first_failure) {
         first_failure = FailureRecord{graph, outcome.failure};
@@ -294,8 +292,7 @@ int main(int argc, char** argv) {
               << " engine runs, " << schedules_run << " churn schedules, "
               << batches_run << " batches, " << invariants_checked
               << " invariants checked, " << faults_injected
-              << " faults injected, worst approximate F1 " << worst_approx_f1
-              << ", " << (failed ? 1 : 0) << " failures\n";
+              << " faults injected, " << (failed ? 1 : 0) << " failures\n";
     obs::finish(obs_options);
 
     if (expect_fault) {
