@@ -143,15 +143,17 @@ void verify_sample(serve::Client& client, const cpm::Result& result,
         }
       }
     }
-    require(client.membership(node) == expected,
-            "perf_serve: served membership diverges from the in-memory "
-            "oracle at node " + std::to_string(node));
+    require(client.membership(node) == expected, [&] {
+      return "perf_serve: served membership diverges from the in-memory "
+             "oracle at node " +
+             std::to_string(node);
+    });
   }
   for (std::size_t k = result.cpm.min_k; k <= result.cpm.max_k; ++k) {
     const Community& c = result.cpm.at(k).communities[0];
-    require(client.community(k, c.id) == c.nodes,
-            "perf_serve: served community diverges at k=" +
-                std::to_string(k));
+    require(client.community(k, c.id) == c.nodes, [&] {
+      return "perf_serve: served community diverges at k=" + std::to_string(k);
+    });
   }
 }
 
@@ -230,9 +232,10 @@ int run(int argc, char** argv) {
   const double elapsed = now_seconds() - t0;
   const std::uint64_t total = per_client * clients;
   const double qps = static_cast<double>(total) / elapsed;
-  require(failed.load() == 0,
-          "perf_serve: " + std::to_string(failed.load()) +
-              " requests answered non-kOk");
+  require(failed.load() == 0, [&] {
+    return "perf_serve: " + std::to_string(failed.load()) +
+           " requests answered non-kOk";
+  });
 
   MixCounts mix;
   for (const MixCounts& c : counts) {
@@ -313,7 +316,9 @@ int run(int argc, char** argv) {
     latency.add("max_us", lat_us.empty() ? 0.0 : lat_us.back());
     doc.add("latency", latency);
     std::FILE* f = std::fopen(json_out.c_str(), "w");
-    require(f != nullptr, "perf_serve: cannot write '" + json_out + "'");
+    require(f != nullptr, [&] {
+      return "perf_serve: cannot write '" + json_out + "'";
+    });
     const std::string text = doc.str();
     std::fwrite(text.data(), 1, text.size(), f);
     std::fputc('\n', f);

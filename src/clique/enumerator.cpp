@@ -1,7 +1,5 @@
 #include "clique/enumerator.h"
 
-#include <algorithm>
-
 #include "clique/bron_kerbosch_internal.h"
 #include "common/error.h"
 
@@ -11,6 +9,12 @@ namespace {
 // Hub-fallback default: 2048 members cap the per-worker row blocks at
 // 2048^2 bits = 512 KiB, comfortably inside L2 on the target machines.
 constexpr std::size_t kDefaultBitsetMaxUniverse = 2048;
+
+// stream() window when Options leaves it at 0. Each window ends in a wait
+// for its slowest subproblem, so small windows serialize the pool on the
+// dense core; 16384 positions keep two resident windows bounded on large
+// graphs (docs/ALGORITHMS.md has the table).
+constexpr std::size_t kDefaultWindowPositions = 16384;
 
 }  // namespace
 
@@ -89,13 +93,9 @@ std::vector<NodeSet> Enumerator::collect(ThreadPool& pool) const {
 
 std::size_t Enumerator::stream_ref(ThreadPool& pool, const CliqueSinkRef& sink,
                                    const WindowFn& window_done) const {
-  std::size_t window = options_.window_positions;
-  if (window == 0) {
-    // Enough positions that every worker gets several chunks per window,
-    // small enough that two windows of slots stay a modest fraction of the
-    // full clique table on large graphs.
-    window = std::clamp<std::size_t>(pool.thread_count() * 256, 1024, 16384);
-  }
+  const std::size_t window = options_.window_positions == 0
+                                 ? kDefaultWindowPositions
+                                 : options_.window_positions;
   return detail::stream_enumerate(
       make_context(g_, deg_, bits_.get(), options_), pool, window, sink,
       window_done);

@@ -138,9 +138,8 @@ struct Options {
   /// row blocks). Only meaningful for the bitset backend.
   std::size_t bitset_max_universe = 0;
 
-  /// stream() only: degeneracy positions per enumeration window; 0 picks a
-  /// default sized to keep every pool worker busy while bounding resident
-  /// slots.
+  /// stream() only: degeneracy positions per enumeration window; 0 picks
+  /// the default of 16384.
   std::size_t window_positions = 0;
 };
 

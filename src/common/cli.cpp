@@ -33,7 +33,9 @@ CliArgs::CliArgs(int argc, const char* const* argv,
       name = body;
       value = "true";
     }
-    require(is_known(name), "CliArgs: unknown flag --" + name);
+    require(is_known(name), [&] {
+      return "CliArgs: unknown flag --" + name;
+    });
     values_[name] = value;
   }
 }
@@ -54,9 +56,10 @@ std::int64_t CliArgs::get_int(const std::string& name,
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  require(end != it->second.c_str() && *end == '\0',
-          "CliArgs: flag --" + name + " expects an integer, got '" +
-              it->second + "'");
+  require(end != it->second.c_str() && *end == '\0', [&] {
+    return "CliArgs: flag --" + name + " expects an integer, got '" +
+           it->second + "'";
+  });
   return v;
 }
 
@@ -65,9 +68,10 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  require(end != it->second.c_str() && *end == '\0',
-          "CliArgs: flag --" + name + " expects a number, got '" + it->second +
-              "'");
+  require(end != it->second.c_str() && *end == '\0', [&] {
+    return "CliArgs: flag --" + name + " expects a number, got '" + it->second +
+           "'";
+  });
   return v;
 }
 

@@ -1,9 +1,9 @@
 #include "common/error.h"
 
-namespace kcc {
+namespace kcc::detail {
 
-void require(bool condition, const std::string& message) {
-  if (!condition) throw Error(message);
+void throw_error(std::string_view message) {
+  throw Error(std::string(message));
 }
 
-}  // namespace kcc
+}  // namespace kcc::detail

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
-
 namespace kcc {
 
 UnionFind::UnionFind(std::size_t n) { reset(n); }
@@ -13,26 +11,6 @@ void UnionFind::reset(std::size_t n) {
   size_.assign(n, 1);
   for (std::size_t i = 0; i < n; ++i) parent_[i] = static_cast<std::uint32_t>(i);
   set_count_ = n;
-}
-
-std::uint32_t UnionFind::find(std::uint32_t x) {
-  require(x < parent_.size(), "UnionFind::find: element out of range");
-  while (parent_[x] != x) {
-    parent_[x] = parent_[parent_[x]];  // path halving
-    x = parent_[x];
-  }
-  return x;
-}
-
-bool UnionFind::unite(std::uint32_t a, std::uint32_t b) {
-  a = find(a);
-  b = find(b);
-  if (a == b) return false;
-  if (size_[a] < size_[b]) std::swap(a, b);
-  parent_[b] = a;
-  size_[a] += size_[b];
-  --set_count_;
-  return true;
 }
 
 std::vector<std::vector<std::uint32_t>> UnionFind::groups() {

@@ -7,7 +7,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "common/error.h"
 
 namespace kcc {
 
@@ -26,10 +29,26 @@ class UnionFind {
   std::size_t set_count() const { return set_count_; }
 
   /// Representative of the set containing `x` (with path halving).
-  std::uint32_t find(std::uint32_t x);
+  std::uint32_t find(std::uint32_t x) {
+    require(x < parent_.size(), "UnionFind::find: element out of range");
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];  // path halving
+      x = parent_[x];
+    }
+    return x;
+  }
 
   /// Merges the sets of `a` and `b`; returns true when they were distinct.
-  bool unite(std::uint32_t a, std::uint32_t b);
+  bool unite(std::uint32_t a, std::uint32_t b) {
+    a = find(a);
+    b = find(b);
+    if (a == b) return false;
+    if (size_[a] < size_[b]) std::swap(a, b);
+    parent_[b] = a;
+    size_[a] += size_[b];
+    --set_count_;
+    return true;
+  }
 
   /// True when `a` and `b` are in the same set.
   bool connected(std::uint32_t a, std::uint32_t b) { return find(a) == find(b); }

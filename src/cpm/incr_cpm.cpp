@@ -77,19 +77,20 @@ void IncrementalCpm::bootstrap(const Graph& g) {
     for (NodeId x : cliques_[c]) cliques_of_node_[x].push_back({c, 0});
   }
   overlaps_.assign(cliques_.size(), {});
+  refs_.assign(cliques_.size(), 0);
   {
     ThreadPool pool(options_.threads);
     for (const CliqueOverlap& p : compute_clique_overlaps_unsorted(
              cliques_, adjacency_.size(), 2, pool)) {
-      overlaps_[p.a].push_back({p.b, 0, p.overlap});
-      overlaps_[p.b].push_back({p.a, 0, p.overlap});
+      const CliqueId later = std::max(p.a, p.b);
+      const CliqueId earlier = std::min(p.a, p.b);
+      overlaps_[later].push_back({earlier, 0, p.overlap});
+      ++refs_[earlier];
     }
   }
   stale_entries_ = 0;
-  stamp_.assign(cliques_.size(), 0);
   count_.assign(cliques_.size(), 0);
   node_stamp_.assign(adjacency_.size(), 0);
-  node_count_.assign(adjacency_.size(), 0);
 }
 
 bool IncrementalCpm::adjacent(NodeId u, NodeId v) const {
@@ -108,35 +109,41 @@ void IncrementalCpm::validate(const EdgeBatch& batch) const {
   std::vector<std::pair<NodeId, NodeId>> removes;
   removes.reserve(batch.remove.size());
   for (std::pair<NodeId, NodeId> e : batch.remove) {
-    require(e.first != e.second,
-            "IncrementalCpm::apply: self-loop in remove " + describe(e));
+    require(e.first != e.second, [&] {
+      return "IncrementalCpm::apply: self-loop in remove " + describe(e);
+    });
     e = canon(e);
-    require(adjacent(e.first, e.second),
-            "IncrementalCpm::apply: remove of absent edge " + describe(e));
+    require(adjacent(e.first, e.second), [&] {
+      return "IncrementalCpm::apply: remove of absent edge " + describe(e);
+    });
     removes.push_back(e);
   }
   std::sort(removes.begin(), removes.end());
   for (std::size_t i = 1; i < removes.size(); ++i) {
-    require(removes[i] != removes[i - 1],
-            "IncrementalCpm::apply: edge " + describe(removes[i]) +
-                " listed twice in remove");
+    require(removes[i] != removes[i - 1], [&] {
+      return "IncrementalCpm::apply: edge " + describe(removes[i]) +
+             " listed twice in remove";
+    });
   }
   std::vector<std::pair<NodeId, NodeId>> adds;
   adds.reserve(batch.add.size());
   for (std::pair<NodeId, NodeId> e : batch.add) {
-    require(e.first != e.second,
-            "IncrementalCpm::apply: self-loop in add " + describe(e));
+    require(e.first != e.second, [&] {
+      return "IncrementalCpm::apply: self-loop in add " + describe(e);
+    });
     e = canon(e);
-    require(!adjacent(e.first, e.second),
-            "IncrementalCpm::apply: add of already-present edge " +
-                describe(e));
+    require(!adjacent(e.first, e.second), [&] {
+      return "IncrementalCpm::apply: add of already-present edge " +
+             describe(e);
+    });
     adds.push_back(e);
   }
   std::sort(adds.begin(), adds.end());
   for (std::size_t i = 1; i < adds.size(); ++i) {
-    require(adds[i] != adds[i - 1],
-            "IncrementalCpm::apply: edge " + describe(adds[i]) +
-                " listed twice in add");
+    require(adds[i] != adds[i - 1], [&] {
+      return "IncrementalCpm::apply: edge " + describe(adds[i]) +
+             " listed twice in add";
+    });
   }
   std::vector<std::pair<NodeId, NodeId>> both;
   std::set_intersection(adds.begin(), adds.end(), removes.begin(),
@@ -185,7 +192,6 @@ void IncrementalCpm::add_edge(NodeId u, NodeId v) {
     adjacency_.resize(hi + 1);
     cliques_of_node_.resize(hi + 1);
     node_stamp_.resize(hi + 1, 0);
-    node_count_.resize(hi + 1, 0);
   }
   auto insert_sorted = [](std::vector<NodeId>& list, NodeId x) {
     list.insert(std::lower_bound(list.begin(), list.end(), x), x);
@@ -303,20 +309,25 @@ void IncrementalCpm::remove_edge(NodeId u, NodeId v) {
 }
 
 bool IncrementalCpm::is_maximal(const NodeSet& nodes) {
-  // Count, for every node adjacent to some member, how many members it is
-  // adjacent to: a witness reaches nodes.size(). A member never does —
-  // a node is not adjacent to itself — so no membership test is needed.
-  // Σ deg(member) linear scans, no binary searches.
-  const auto target = static_cast<std::uint32_t>(nodes.size());
-  ++node_epoch_;
-  for (NodeId x : nodes) {
-    for (NodeId w : adjacency_[x]) {
-      if (node_stamp_[w] != node_epoch_) {
-        node_stamp_[w] = node_epoch_;
-        node_count_[w] = 0;
+  // A witness is adjacent to every member, so it is a neighbor of the
+  // member with the fewest neighbors: only those are tested, against the
+  // other members in ascending degree (the likeliest to reject first)
+  // until one is not adjacent. A member never passes — a node is not
+  // adjacent to itself — so no membership test is needed.
+  by_degree_.assign(nodes.begin(), nodes.end());
+  std::sort(by_degree_.begin(), by_degree_.end(), [&](NodeId a, NodeId b) {
+    return adjacency_[a].size() < adjacency_[b].size();
+  });
+  const NodeId pivot = by_degree_.front();
+  for (NodeId w : adjacency_[pivot]) {
+    bool witness = true;
+    for (std::size_t i = 1; i < by_degree_.size(); ++i) {
+      if (!adjacent(w, by_degree_[i])) {
+        witness = false;
+        break;
       }
-      if (++node_count_[w] == target) return false;
     }
+    if (witness) return false;
   }
   return true;
 }
@@ -332,34 +343,29 @@ CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
     alive_.push_back(0);
     gen_.push_back(0);
     overlaps_.emplace_back();
+    refs_.push_back(0);
   }
   grow_scratch();
 
   // Count shared nodes against every alive clique BEFORE indexing the new
   // one, so it never pairs with itself.
-  ++epoch_;
-  std::vector<CliqueId> touched;
+  touched_.clear();
   for (NodeId x : nodes) {
     auto& list = cliques_of_node_[x];
     std::size_t live = 0;
     for (const CliqueRef e : list) {
       if (!valid(e)) continue;  // stale: compacted away in place
       list[live++] = e;
-      const CliqueId d = e.clique;
-      if (stamp_[d] != epoch_) {
-        stamp_[d] = epoch_;
-        count_[d] = 0;
-        touched.push_back(d);
-      }
-      ++count_[d];
+      if (count_[e.clique]++ == 0) touched_.push_back(e.clique);
     }
     list.resize(live);
   }
-  for (CliqueId d : touched) {
+  for (CliqueId d : touched_) {
     if (count_[d] >= 2) {
       overlaps_[c].push_back({d, gen_[d], count_[d]});
-      overlaps_[d].push_back({c, gen_[c], count_[d]});
+      ++refs_[d];
     }
+    count_[d] = 0;
   }
   for (NodeId x : nodes) cliques_of_node_[x].push_back({c, gen_[c]});
   cliques_[c] = std::move(nodes);
@@ -370,16 +376,23 @@ CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
 }
 
 void IncrementalCpm::retire_clique(CliqueId c) {
-  // Lazy retire: the back-references this clique holds in its neighbors'
-  // overlap lists and in the node index stay physically in place — the
-  // generation bump invalidates them all at once. Scans skip (and
-  // compact) stale entries; compact_if_needed() bounds the stale
+  // Lazy retire: the entries naming this clique in later cliques' overlap
+  // lists (refs_[c] of them) and in the node index stay physically in
+  // place — the generation bump invalidates them all at once. Scans skip
+  // (and compact) stale entries; compact_if_needed() bounds the stale
   // fraction. Eager removal here would cost O(sum of neighbor lists) per
   // retire, which is quadratic when a dense-core edge removal retires
-  // thousands of mutually-overlapping cliques.
-  stale_entries_ += overlaps_[c].size() + cliques_[c].size();
-  overlaps_[c].clear();
-  cliques_[c].clear();
+  // thousands of mutually-overlapping cliques. The clique's own list is
+  // released and stops naming its partners. Its storage is released, not
+  // cleared: a reused slot would otherwise keep the capacity of the
+  // largest list it ever held.
+  stale_entries_ += refs_[c] + cliques_[c].size();
+  for (const OverlapEntry& e : overlaps_[c]) {
+    if (valid(e)) --refs_[e.clique];
+  }
+  refs_[c] = 0;
+  std::vector<OverlapEntry>().swap(overlaps_[c]);
+  NodeSet().swap(cliques_[c]);
   ++gen_[c];
   alive_[c] = 0;
   free_slots_.push_back(c);
@@ -393,24 +406,43 @@ void IncrementalCpm::compact_if_needed() {
   for (const auto& list : overlaps_) total += list.size();
   for (const auto& list : cliques_of_node_) total += list.size();
   if (stale_entries_ * 2 < total) return;
+  // A list left at under half its capacity gives the rest back, so the
+  // reserved memory tracks the live entries across many batches.
+  auto shrink = [](auto& list) {
+    if (list.capacity() > 2 * list.size()) list.shrink_to_fit();
+  };
   for (auto& list : overlaps_) {
     list.erase(std::remove_if(list.begin(), list.end(),
                               [&](const OverlapEntry& e) { return !valid(e); }),
                list.end());
+    shrink(list);
   }
   for (auto& list : cliques_of_node_) {
     list.erase(std::remove_if(list.begin(), list.end(),
                               [&](CliqueRef e) { return !valid(e); }),
                list.end());
+    shrink(list);
   }
   stale_entries_ = 0;
 }
 
+std::size_t IncrementalCpm::state_bytes() const {
+  auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  auto nested = [&](const auto& outer) {
+    std::size_t total = bytes(outer);
+    for (const auto& inner : outer) total += bytes(inner);
+    return total;
+  };
+  return nested(adjacency_) + nested(cliques_) + bytes(alive_) +
+         bytes(free_slots_) + bytes(gen_) + nested(cliques_of_node_) +
+         nested(overlaps_) + bytes(refs_) + bytes(count_) + bytes(touched_) +
+         bytes(node_stamp_);
+}
+
 void IncrementalCpm::grow_scratch() {
-  if (stamp_.size() < cliques_.size()) {
-    stamp_.resize(cliques_.size(), 0);
-    count_.resize(cliques_.size(), 0);
-  }
+  if (count_.size() < cliques_.size()) count_.resize(cliques_.size(), 0);
 }
 
 Graph IncrementalCpm::graph() const {
@@ -456,10 +488,9 @@ Result IncrementalCpm::result() const {
   for (std::size_t i = 0; i < kept.size(); ++i) {
     for (const OverlapEntry& e : overlaps_[kept[i]]) {
       if (!valid(e) || is_kept[e.clique] == 0) continue;
-      const CliqueId j = new_id[e.clique];
-      if (static_cast<CliqueId>(i) < j) {
-        pairs.push_back({static_cast<CliqueId>(i), j, e.overlap});
-      }
+      const auto a = static_cast<CliqueId>(i);
+      const CliqueId b = new_id[e.clique];
+      pairs.push_back({std::min(a, b), std::max(a, b), e.overlap});
     }
   }
 

@@ -113,6 +113,9 @@ class IncrementalCpm {
   /// materialization filter).
   std::size_t num_cliques() const { return alive_count_; }
   std::uint64_t batches_applied() const { return batches_applied_; }
+  /// Bytes reserved by the maintained state: the summed capacity of the
+  /// adjacency, clique table, both indexes and the scratch counters.
+  std::size_t state_bytes() const;
 
  private:
   friend Result run_incremental_on_cliques(const Options&, const Graph&,
@@ -169,26 +172,28 @@ class IncrementalCpm {
 
   std::vector<std::vector<CliqueRef>> cliques_of_node_;  // unsorted
   /// overlaps_[c] = (d, |c ∩ d|) for every alive d sharing >= 2 nodes with
-  /// c; stored symmetrically (each unordered pair appears in both lists).
+  /// c that was indexed before c. Each unordered pair is stored once, in
+  /// the list of the clique that arrived later (the higher id at
+  /// bootstrap), so an insert appends to its own list only.
   std::vector<std::vector<OverlapEntry>> overlaps_;
+  /// refs_[c] = entries naming c in other cliques' overlap lists: what a
+  /// retire of c leaves stale.
+  std::vector<std::uint32_t> refs_;
   /// Upper bound on stale entries across both index structures, reset by
   /// compact_if_needed().
   std::size_t stale_entries_ = 0;
 
-  // Epoch-stamped scratch counters over clique slots, reused across
-  // operations so no per-op allocation or clearing is needed.
-  std::vector<std::uint64_t> stamp_;
+  // Shared-node counters over clique slots for insert_clique, all zero
+  // between inserts: each insert resets exactly the slots it touched.
   std::vector<std::uint32_t> count_;
-  std::uint64_t epoch_ = 0;
+  std::vector<CliqueId> touched_;
 
-  // Same trick over node ids: is_maximal counts, for every node adjacent
-  // to a fragment member, how many members it is adjacent to (a witness
-  // reaches the full fragment size — and is never a member, since a node
-  // is not adjacent to itself); collect_absorbed stamps one endpoint's
-  // neighborhood for O(1) membership tests.
+  // Epoch-stamped scratch over node ids, reused across operations so no
+  // per-op allocation or clearing is needed: collect_absorbed stamps one
+  // endpoint's neighborhood for O(1) membership tests.
   std::vector<std::uint64_t> node_stamp_;
-  std::vector<std::uint32_t> node_count_;
   std::uint64_t node_epoch_ = 0;
+  std::vector<NodeId> by_degree_;  // is_maximal's members, by degree
 
   /// Set by the FromCliquesTag ctor when the given table was already
   /// min_clique_size filtered — apply() then refuses (the update theorems

@@ -198,12 +198,13 @@ class SweepPercolator {
         index_(g.num_nodes()) {
     require(min_k_ >= 2, "run_sweep_engine: min_k must be >= 2");
     require(memory_budget_ == 0 ||
-                memory_budget_ >= stream_min_memory_budget(),
-            "run_sweep_engine: --memory-budget " +
-                std::to_string(memory_budget_) +
-                " is smaller than the spill chunk (" +
-                std::to_string(stream_min_memory_budget()) +
-                " bytes); raise the budget or use 0 for unlimited");
+                memory_budget_ >= stream_min_memory_budget(), [&] {
+      return "run_sweep_engine: --memory-budget " +
+             std::to_string(memory_budget_) +
+             " is smaller than the spill chunk (" +
+             std::to_string(stream_min_memory_budget()) +
+             " bytes); raise the budget or use 0 for unlimited";
+    });
     // Pairs below this overlap would feed no sweep level: level k consumes
     // overlap k-1 and the lowest emitted union level is max(3, min_k).
     prune_min_ = std::max<std::size_t>(3, min_k_) - 1;
@@ -403,8 +404,9 @@ class SweepPercolator {
       ensure_spill_dir();
       const fs::path path = spill_path(overlap);
       bucket.spill_out.open(path, std::ios::binary | std::ios::app);
-      require(bucket.spill_out.good(),
-              "run_sweep_engine: cannot open spill file " + path.string());
+      require(bucket.spill_out.good(), [&] {
+        return "run_sweep_engine: cannot open spill file " + path.string();
+      });
     }
     const std::uint64_t bytes = bucket.resident.size() * sizeof(PackedPair);
     bucket.spill_out.write(
@@ -443,8 +445,9 @@ class SweepPercolator {
       bucket.spill_out.close();
       const fs::path path = spill_path(overlap);
       std::ifstream in(path, std::ios::binary);
-      require(in.good(),
-              "run_sweep_engine: cannot reopen spill file " + path.string());
+      require(in.good(), [&] {
+        return "run_sweep_engine: cannot reopen spill file " + path.string();
+      });
       std::vector<PackedPair> chunk(kSpillChunkPairs);
       std::uint64_t remaining = bucket.spilled_pairs;
       while (remaining > 0) {
@@ -453,8 +456,9 @@ class SweepPercolator {
         in.read(reinterpret_cast<char*>(chunk.data()),
                 static_cast<std::streamsize>(n * sizeof(PackedPair)));
         require(static_cast<std::size_t>(in.gcount()) ==
-                    n * sizeof(PackedPair),
-                "run_sweep_engine: spill file truncated: " + path.string());
+                    n * sizeof(PackedPair), [&] {
+          return "run_sweep_engine: spill file truncated: " + path.string();
+        });
         for (std::size_t i = 0; i < n; ++i) uf.unite(chunk[i].a, chunk[i].b);
         join_ops += n;
         remaining -= n;
@@ -507,19 +511,24 @@ std::uint64_t parse_memory_budget(const std::string& text) {
          std::isdigit(static_cast<unsigned char>(text[digits]))) {
     ++digits;
   }
-  require(digits > 0, "parse_memory_budget: '" + text +
-                          "' must start with a number (e.g. 512M)");
+  require(digits > 0, [&] {
+    return "parse_memory_budget: '" + text +
+           "' must start with a number (e.g. 512M)";
+  });
   std::uint64_t value = 0;
   for (std::size_t i = 0; i < digits; ++i) {
     const std::uint64_t next = value * 10 + (text[i] - '0');
-    require(next >= value, "parse_memory_budget: '" + text + "' overflows");
+    require(next >= value, [&] {
+      return "parse_memory_budget: '" + text + "' overflows";
+    });
     value = next;
   }
   std::uint64_t multiplier = 1;
   if (digits < text.size()) {
-    require(digits + 1 == text.size(),
-            "parse_memory_budget: '" + text +
-                "' has trailing characters after the unit");
+    require(digits + 1 == text.size(), [&] {
+      return "parse_memory_budget: '" + text +
+             "' has trailing characters after the unit";
+    });
     switch (std::toupper(static_cast<unsigned char>(text[digits]))) {
       case 'K':
         multiplier = 1024ULL;
@@ -536,8 +545,9 @@ std::uint64_t parse_memory_budget(const std::string& text) {
                     "' (use K, M or G)");
     }
   }
-  require(value <= ~0ULL / multiplier,
-          "parse_memory_budget: '" + text + "' overflows");
+  require(value <= ~0ULL / multiplier, [&] {
+    return "parse_memory_budget: '" + text + "' overflows";
+  });
   return value * multiplier;
 }
 

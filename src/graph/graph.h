@@ -78,6 +78,9 @@ class GraphBuilder {
 
   std::size_t num_nodes() const { return num_nodes_; }
 
+  /// Reserves room for `num_edges` add_edge calls.
+  void reserve_edges(std::size_t num_edges) { edges_.reserve(num_edges); }
+
   /// Records the undirected edge {u, v}; grows the node count as needed.
   void add_edge(NodeId u, NodeId v);
 

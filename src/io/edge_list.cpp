@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -15,17 +14,39 @@ namespace {
 /// Parses one whitespace token as a node label. Anything that is not a
 /// plain decimal integer fitting in 64 bits — letters, signs, floats,
 /// overflow — is a hard error carrying the line number.
-std::uint64_t parse_label(const std::string& token, std::size_t line_no) {
+std::uint64_t parse_label(std::string_view token, std::size_t line_no) {
   std::uint64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
-  require(ec != std::errc::result_out_of_range,
-          "read_edge_list: node id out of range on line " +
-              std::to_string(line_no) + ": '" + token + "'");
-  require(ec == std::errc() && ptr == token.data() + token.size(),
-          "read_edge_list: non-numeric node id on line " +
-              std::to_string(line_no) + ": '" + token + "'");
+  require(ec != std::errc::result_out_of_range, [&] {
+    return "read_edge_list: node id out of range on line " +
+           std::to_string(line_no) + ": '" + std::string(token) + "'";
+  });
+  require(ec == std::errc() && ptr == token.data() + token.size(), [&] {
+    return "read_edge_list: non-numeric node id on line " +
+           std::to_string(line_no) + ": '" + std::string(token) + "'";
+  });
   return value;
+}
+
+/// The whitespace that `operator>>` skips in the classic locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// The whole stream in one buffer, read in 64 KiB steps.
+std::string read_all(std::istream& in) {
+  constexpr std::size_t kStep = std::size_t{1} << 16;
+  std::string text;
+  std::size_t size = 0;
+  while (in) {
+    text.resize(size + kStep);
+    in.read(text.data() + size, static_cast<std::streamsize>(kStep));
+    size += static_cast<std::size_t>(in.gcount());
+  }
+  text.resize(size);
+  return text;
 }
 
 }  // namespace
@@ -38,25 +59,41 @@ NodeId LabeledGraph::node_of(std::uint64_t label) const {
 }
 
 LabeledGraph read_edge_list(std::istream& in) {
+  const std::string text = read_all(in);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> raw_edges;
-  std::string line;
+  raw_edges.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
+  const char* cursor = text.data();
+  const char* const end = cursor + text.size();
   std::size_t line_no = 0;
-  while (std::getline(in, line)) {
+  while (cursor != end) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    // Tokenize first, then parse: a line is either empty (after comment
-    // stripping) or exactly "u v" with both tokens valid integers. Anything
-    // else — one token, three tokens, letters, overflow — throws with the
-    // line number instead of being silently skipped.
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    for (std::string token; ls >> token;) tokens.push_back(std::move(token));
-    if (tokens.empty()) continue;  // blank or comment-only line
-    require(tokens.size() == 2,
-            "read_edge_list: expected 'u v' on line " +
-                std::to_string(line_no) + ", got " +
-                std::to_string(tokens.size()) + " token(s)");
+    const char* const eol = std::find(cursor, end, '\n');
+    const char* const body_end = std::find(cursor, eol, '#');
+    // Tokenize the whole line first, then parse: a line is either empty
+    // (after comment stripping) or exactly "u v" with both tokens valid
+    // integers. Anything else — one token, three tokens, letters, overflow
+    // — throws with the line number instead of being silently skipped.
+    std::string_view tokens[2];
+    std::size_t num_tokens = 0;
+    for (const char* p = cursor;;) {
+      while (p != body_end && is_space(*p)) ++p;
+      if (p == body_end) break;
+      const char* const start = p;
+      while (p != body_end && !is_space(*p)) ++p;
+      if (num_tokens < 2) {
+        tokens[num_tokens] =
+            std::string_view(start, static_cast<std::size_t>(p - start));
+      }
+      ++num_tokens;
+    }
+    cursor = eol == end ? end : eol + 1;
+    if (num_tokens == 0) continue;  // blank or comment-only line
+    require(num_tokens == 2, [&] {
+      return "read_edge_list: expected 'u v' on line " +
+             std::to_string(line_no) + ", got " + std::to_string(num_tokens) +
+             " token(s)";
+    });
     const std::uint64_t u = parse_label(tokens[0], line_no);
     const std::uint64_t v = parse_label(tokens[1], line_no);
     if (u == v) continue;  // spurious self-loop: drop
@@ -76,6 +113,7 @@ LabeledGraph read_edge_list(std::istream& in) {
   LabeledGraph out;
   out.labels = std::move(labels);
   GraphBuilder builder(out.labels.size());
+  builder.reserve_edges(raw_edges.size());
   for (const auto& [u, v] : raw_edges) {
     builder.add_edge(out.node_of(u), out.node_of(v));
   }
@@ -86,7 +124,9 @@ LabeledGraph read_edge_list(std::istream& in) {
 
 LabeledGraph read_edge_list_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "read_edge_list_file: cannot open '" + path + "'");
+  require(in.good(), [&] {
+    return "read_edge_list_file: cannot open '" + path + "'";
+  });
   return read_edge_list(in);
 }
 
@@ -100,9 +140,13 @@ void write_edge_list(std::ostream& out, const LabeledGraph& g) {
 
 void write_edge_list_file(const std::string& path, const LabeledGraph& g) {
   std::ofstream out(path);
-  require(out.good(), "write_edge_list_file: cannot open '" + path + "'");
+  require(out.good(), [&] {
+    return "write_edge_list_file: cannot open '" + path + "'";
+  });
   write_edge_list(out, g);
-  require(out.good(), "write_edge_list_file: write failed for '" + path + "'");
+  require(out.good(), [&] {
+    return "write_edge_list_file: write failed for '" + path + "'";
+  });
 }
 
 LabeledGraph with_identity_labels(Graph g) {

@@ -47,9 +47,13 @@ void write_cpm_result(std::ostream& out, const CpmResult& result) {
 
 void write_cpm_result_file(const std::string& path, const CpmResult& result) {
   std::ofstream out(path);
-  require(out.good(), "write_cpm_result_file: cannot open '" + path + "'");
+  require(out.good(), [&] {
+    return "write_cpm_result_file: cannot open '" + path + "'";
+  });
   write_cpm_result(out, result);
-  require(out.good(), "write_cpm_result_file: write failed for '" + path + "'");
+  require(out.good(), [&] {
+    return "write_cpm_result_file: write failed for '" + path + "'";
+  });
 }
 
 CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
@@ -57,9 +61,12 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
   int version = 0;
   require(static_cast<bool>(in >> magic >> version),
           "read_cpm_result: missing header");
-  require(magic == kMagic, "read_cpm_result: bad magic '" + magic + "'");
-  require(version == kVersion,
-          "read_cpm_result: unsupported version " + std::to_string(version));
+  require(magic == kMagic, [&] {
+    return "read_cpm_result: bad magic '" + magic + "'";
+  });
+  require(version == kVersion, [&] {
+    return "read_cpm_result: unsupported version " + std::to_string(version);
+  });
 
   std::string keyword;
   require(static_cast<bool>(in >> keyword) && keyword == "meta",
@@ -81,8 +88,9 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
     std::istringstream ls(line);
     CliqueId id = 0;
     require(static_cast<bool>(ls >> keyword >> id) && keyword == "clique" &&
-                id == i,
-            "read_cpm_result: malformed clique line " + std::to_string(i));
+                id == i, [&] {
+      return "read_cpm_result: malformed clique line " + std::to_string(i);
+    });
     NodeSet nodes;
     NodeId v = 0;
     while (ls >> v) {
@@ -101,8 +109,9 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
     std::istringstream ls(line);
     std::size_t file_k = 0, count = 0;
     require(static_cast<bool>(ls >> keyword >> file_k >> count) &&
-                keyword == "set" && file_k == k,
-            "read_cpm_result: malformed set line for k " + std::to_string(k));
+                keyword == "set" && file_k == k, [&] {
+      return "read_cpm_result: malformed set line for k " + std::to_string(k);
+    });
     CommunitySet& set = result.at(k);
     set.k = k;
     set.community_of_clique.assign(result.cliques.size(),
@@ -148,7 +157,9 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
 CpmResult read_cpm_result_file(const std::string& path,
                                std::size_t* num_nodes) {
   std::ifstream in(path);
-  require(in.good(), "read_cpm_result_file: cannot open '" + path + "'");
+  require(in.good(), [&] {
+    return "read_cpm_result_file: cannot open '" + path + "'";
+  });
   return read_cpm_result(in, num_nodes);
 }
 

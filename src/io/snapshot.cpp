@@ -314,10 +314,14 @@ void write_snapshot(std::ostream& out, const cpm::Result& result,
 void write_snapshot_file(const std::string& path, const cpm::Result& result,
                          const std::string& manifest_json) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  require(out.good(), "write_snapshot_file: cannot open '" + path + "'");
+  require(out.good(), [&] {
+    return "write_snapshot_file: cannot open '" + path + "'";
+  });
   write_snapshot(out, result, manifest_json);
   out.close();
-  require(out.good(), "write_snapshot_file: write failed for '" + path + "'");
+  require(out.good(), [&] {
+    return "write_snapshot_file: write failed for '" + path + "'";
+  });
 }
 
 namespace {
@@ -345,8 +349,10 @@ struct Section {
 
 SnapshotView::SnapshotView(const std::string& path) {
   fd_ = ::open(path.c_str(), O_RDONLY);
-  require(fd_ >= 0, "snapshot: cannot open '" + path + "': " +
-                        std::string(std::strerror(errno)));
+  require(fd_ >= 0, [&] {
+    return "snapshot: cannot open '" + path + "': " +
+           std::string(std::strerror(errno));
+  });
   struct stat st {};
   if (::fstat(fd_, &st) != 0) {
     ::close(fd_);
@@ -580,18 +586,20 @@ SnapshotView::SnapshotView(SnapshotView&& other) noexcept
 }
 
 std::size_t SnapshotView::level_index(std::size_t k) const {
-  require(has_k(k), "snapshot query: k=" + std::to_string(k) +
-                        " outside [" + std::to_string(min_k_) + ", " +
-                        std::to_string(max_k_) + "]");
+  require(has_k(k), [&] {
+    return "snapshot query: k=" + std::to_string(k) + " outside [" +
+           std::to_string(min_k_) + ", " + std::to_string(max_k_) + "]";
+  });
   return k - min_k_;
 }
 
 std::size_t SnapshotView::global_community(std::size_t k,
                                            std::uint32_t id) const {
   const std::size_t level = level_index(k);
-  require(id < levels_[2 * level + 1],
-          "snapshot query: community id " + std::to_string(id) +
-              " out of range at k=" + std::to_string(k));
+  require(id < levels_[2 * level + 1], [&] {
+    return "snapshot query: community id " + std::to_string(id) +
+           " out of range at k=" + std::to_string(k);
+  });
   return levels_[2 * level] + id;
 }
 
@@ -617,8 +625,9 @@ std::span<const std::uint32_t> SnapshotView::community_cliques(
 }
 
 std::span<const std::uint32_t> SnapshotView::clique(std::uint32_t c) const {
-  require(c < num_cliques_,
-          "snapshot query: clique id " + std::to_string(c) + " out of range");
+  require(c < num_cliques_, [&] {
+    return "snapshot query: clique id " + std::to_string(c) + " out of range";
+  });
   return {clique_nodes_ + clique_offsets_[c],
           static_cast<std::size_t>(clique_offsets_[c + 1] -
                                    clique_offsets_[c])};

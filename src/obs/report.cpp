@@ -125,14 +125,19 @@ void write_manifest_json(std::ostream& out, const RunManifest& manifest) {
   write_json_string(out, manifest.cxx_flags);
   out << ",\"sanitize\":";
   write_json_string(out, manifest.sanitize);
-  out << ",\"cpu_model\":";
+  out << ",";
+  write_host_json_fields(out, manifest);
+  out << "}";
+}
+
+void write_host_json_fields(std::ostream& out, const RunManifest& manifest) {
+  out << "\"cpu_model\":";
   write_json_string(out, manifest.cpu_model);
   out << ",\"cpu_logical_cores\":" << manifest.cpu_logical_cores;
   out << ",\"hostname\":";
   write_json_string(out, manifest.hostname);
   out << ",\"hw_counters\":";
   write_json_string(out, manifest.hw_counters);
-  out << "}";
 }
 
 RunRecorder& RunRecorder::instance() {
@@ -271,10 +276,14 @@ void write_run_report_file(const std::string& path,
     return;
   }
   std::ofstream out(path);
-  require(out.good(), "obs: cannot write run report " + path);
+  require(out.good(), [&] {
+    return "obs: cannot write run report " + path;
+  });
   write_run_report(out, manifest);
   out << "\n";
-  require(out.good(), "obs: failed writing run report " + path);
+  require(out.good(), [&] {
+    return "obs: failed writing run report " + path;
+  });
 }
 
 double FlatJson::number(const std::string& path, double fallback) const {
@@ -499,7 +508,9 @@ FlatJson parse_json_flat(const std::string& text) {
 
 FlatJson read_json_flat_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "obs: cannot read JSON file " + path);
+  require(in.good(), [&] {
+    return "obs: cannot read JSON file " + path;
+  });
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse_json_flat(buffer.str());

@@ -57,6 +57,11 @@ RunManifest collect_manifest(const std::string& tool);
 /// Writes the manifest as one JSON object (no trailing newline).
 void write_manifest_json(std::ostream& out, const RunManifest& manifest);
 
+/// Writes the manifest's host fields (cpu_model, cpu_logical_cores,
+/// hostname, hw_counters) as comma-separated JSON members, no braces, so
+/// other records can name the host they were measured on.
+void write_host_json_fields(std::ostream& out, const RunManifest& manifest);
+
 /// One instrumented stage: wall clock, hw-counter delta, RSS after.
 struct StageSample {
   std::string name;

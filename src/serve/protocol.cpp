@@ -58,9 +58,10 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload,
   if (!read_exact(fd, prefix, 4)) return false;
   std::uint32_t bytes = 0;
   std::memcpy(&bytes, prefix, 4);
-  require(bytes <= max_bytes,
-          "serve: frame of " + std::to_string(bytes) +
-              " bytes exceeds the limit of " + std::to_string(max_bytes));
+  require(bytes <= max_bytes, [&] {
+    return "serve: frame of " + std::to_string(bytes) +
+           " bytes exceeds the limit of " + std::to_string(max_bytes);
+  });
   payload.resize(bytes);
   if (bytes > 0) {
     if (!read_exact(fd, payload.data(), bytes)) {

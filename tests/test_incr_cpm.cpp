@@ -18,6 +18,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "cpm/engine.h"
+#include "synth/as_topology.h"
 #include "test_helpers.h"
 
 namespace kcc {
@@ -283,6 +284,54 @@ TEST(IncrCpm, NodeUniverseGrowsWithAddedEdges) {
   EXPECT_EQ(state.num_nodes(), 6u);
   EXPECT_EQ(state.num_edges(), 1u);
   EXPECT_EQ(digest(state), sweep_digest(Graph::from_edges(6, {{2, 5}})));
+}
+
+TEST(IncrCpm, RetainedStateStaysBoundedUnderFlapChurn) {
+  // Link flaps at the AS edge: a batch touching 1% of the edges with an
+  // endpoint of degree <= 64, then its inverse. Retired clique slots and
+  // compacted lists must give their storage back, so the reserved state
+  // tracks the live state instead of ratcheting up batch after batch.
+  const Graph g = generate_ecosystem(SynthParams::test_scale()).topology.graph;
+  IncrementalCpm state(g);
+  const std::size_t bootstrap_bytes = state.state_bytes();
+  ASSERT_GT(bootstrap_bytes, 0u);
+
+  std::vector<std::pair<NodeId, NodeId>> edges = g.edges();
+  std::vector<std::size_t> degree(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) degree[v] = g.degree(v);
+  auto flappable = [&](NodeId u, NodeId v) {
+    return std::min(degree[u], degree[v]) <= 64;
+  };
+  std::vector<std::pair<NodeId, NodeId>> pool;
+  for (const auto& e : edges) {
+    if (flappable(e.first, e.second)) pool.push_back(e);
+  }
+  const std::size_t ops = std::max<std::size_t>(2, edges.size() / 100);
+  Rng rng(2011);
+  std::size_t peak = bootstrap_bytes;
+  for (int flap = 0; flap < 100; ++flap) {
+    EdgeBatch batch;
+    batch.remove = rng.sample_without_replacement(pool, ops / 2);
+    while (batch.add.size() < ops / 2) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      if (u == v || !flappable(u, v)) continue;
+      const std::pair<NodeId, NodeId> e{std::min(u, v), std::max(u, v)};
+      if (g.has_edge(u, v) ||
+          std::find(batch.add.begin(), batch.add.end(), e) != batch.add.end()) {
+        continue;
+      }
+      batch.add.push_back(e);
+    }
+    state.apply(batch);
+    peak = std::max(peak, state.state_bytes());
+    state.apply(batch.inverse());
+    peak = std::max(peak, state.state_bytes());
+  }
+  EXPECT_EQ(state.batches_applied(), 200u);
+  EXPECT_EQ(state.num_edges(), g.num_edges());
+  EXPECT_LE(peak, 2 * bootstrap_bytes)
+      << "bootstrap " << bootstrap_bytes << " B, peak " << peak << " B";
 }
 
 }  // namespace

@@ -277,7 +277,9 @@ int cmd_query(const CliArgs& args) {
   require(!op.empty(), "query: --op is required");
   const double timeout = args.get_double("timeout", 5.0);
   auto u32 = [&args](const char* flag) {
-    require(args.has(flag), std::string("query: --") + flag + " is required");
+    require(args.has(flag), [&] {
+      return std::string("query: --") + flag + " is required";
+    });
     return static_cast<std::uint32_t>(args.get_int(flag, 0));
   };
 
@@ -348,16 +350,19 @@ int cmd_update(const CliArgs& args) {
                       "write is tmp + rename for atomic daemon reloads)");
 
   std::ifstream in(deltas_path);
-  require(in.good(), "update: cannot read '" + deltas_path + "'");
+  require(in.good(), [&] {
+    return "update: cannot read '" + deltas_path + "'";
+  });
   std::ostringstream text;
   text << in.rdbuf();
   const check::DeltaStream stream = check::parse_delta_stream(text.str());
 
   Graph base;
   if (args.has("edges")) {
-    require(stream.base.edges.empty(),
-            "update: --edges given but '" + deltas_path +
-                "' carries its own 'edge' lines — use one base, not both");
+    require(stream.base.edges.empty(), [&] {
+      return "update: --edges given but '" + deltas_path +
+             "' carries its own 'edge' lines — use one base, not both";
+    });
     base = read_edge_list_file(args.get_string("edges", "")).graph;
   } else {
     base = stream.base.build();
@@ -416,8 +421,9 @@ int cmd_tree(const CliArgs& args) {
 
 int cmd_analyze(const CliArgs& args) {
   for (const char* flag : {"edges", "ixps", "countries", "geo"}) {
-    require(args.has(flag),
-            std::string("analyze: --") + flag + " is required");
+    require(args.has(flag), [&] {
+      return std::string("analyze: --") + flag + " is required";
+    });
   }
   AsEcosystem eco;
   eco.topology = read_edge_list_file(args.get_string("edges", ""));

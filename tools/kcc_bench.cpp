@@ -427,15 +427,18 @@ void write_report(std::ostream& out, const DriverOptions& o,
 void append_trajectory(const std::string& path, const DriverOptions& o,
                        const std::vector<ConfigResult>& results) {
   std::ofstream out(path, std::ios::app);
-  require(out.good(), "kcc_bench: cannot append to trajectory " + path);
+  require(out.good(), [&] {
+    return "kcc_bench: cannot append to trajectory " + path;
+  });
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   const auto seconds =
       std::chrono::duration_cast<std::chrono::seconds>(now).count();
   const obs::RunManifest manifest = obs::collect_manifest("kcc_bench");
   out << "{\"time_unix\":" << seconds << ",\"git_sha\":\"" << manifest.git_sha
       << (manifest.git_dirty ? "+dirty" : "") << "\",\"scale\":\"" << o.scale
-      << "\",\"seed\":" << o.seed << ",\"reps\":" << o.reps
-      << ",\"configs\":{";
+      << "\",\"seed\":" << o.seed << ",\"reps\":" << o.reps << ",";
+  obs::write_host_json_fields(out, manifest);
+  out << ",\"configs\":{";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
     if (i > 0) out << ",";
@@ -449,7 +452,9 @@ void append_trajectory(const std::string& path, const DriverOptions& o,
     out << "}";
   }
   out << "}}\n";
-  require(out.good(), "kcc_bench: failed appending to trajectory " + path);
+  require(out.good(), [&] {
+    return "kcc_bench: failed appending to trajectory " + path;
+  });
 }
 
 // -------------------------------------------------------------- execution
@@ -677,9 +682,13 @@ int run_driver(const DriverOptions& o) {
     fresh_text = report.str();
     if (!o.out.empty()) {
       std::ofstream out(o.out);
-      require(out.good(), "kcc_bench: cannot write " + o.out);
+      require(out.good(), [&] {
+        return "kcc_bench: cannot write " + o.out;
+      });
       out << fresh_text << "\n";
-      require(out.good(), "kcc_bench: failed writing " + o.out);
+      require(out.good(), [&] {
+        return "kcc_bench: failed writing " + o.out;
+      });
       std::cout << "kcc_bench: wrote " << o.out << "\n";
     }
     if (!o.trajectory.empty()) {
@@ -688,7 +697,9 @@ int run_driver(const DriverOptions& o) {
     }
   } else {
     std::ifstream in(o.in);
-    require(in.good(), "kcc_bench: cannot read --in report " + o.in);
+    require(in.good(), [&] {
+      return "kcc_bench: cannot read --in report " + o.in;
+    });
     std::ostringstream buffer;
     buffer << in.rdbuf();
     fresh_text = buffer.str();

@@ -90,15 +90,21 @@ std::vector<std::string> extract_flags(const std::string& text) {
 std::string help_text(const std::string& binary) {
   const std::string command = binary + " --help 2>&1";
   FILE* pipe = ::popen(command.c_str(), "r");
-  require(pipe != nullptr, "kcc_doccheck: cannot run " + command);
+  require(pipe != nullptr, [&] {
+    return "kcc_doccheck: cannot run " + command;
+  });
   std::string text;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) text.append(buf, n);
   const int rc = ::pclose(pipe);
-  require(rc == 0, "kcc_doccheck: '" + command + "' exited with status " +
-                       std::to_string(rc));
-  require(!text.empty(), "kcc_doccheck: '" + command + "' printed nothing");
+  require(rc == 0, [&] {
+    return "kcc_doccheck: '" + command + "' exited with status " +
+           std::to_string(rc);
+  });
+  require(!text.empty(), [&] {
+    return "kcc_doccheck: '" + command + "' printed nothing";
+  });
   return text;
 }
 
@@ -139,7 +145,9 @@ std::vector<std::string> extract_links(const std::string& text) {
 void check_file(const fs::path& doc, const std::set<std::string>& known,
                 std::vector<Finding>& findings) {
   std::ifstream in(doc);
-  require(in.good(), "kcc_doccheck: cannot read " + doc.string());
+  require(in.good(), [&] {
+    return "kcc_doccheck: cannot read " + doc.string();
+  });
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
@@ -176,16 +184,18 @@ int main(int argc, char** argv) {
       return 0;
     }
     const fs::path root = args.get_string("root", ".");
-    require(fs::exists(root / "README.md"),
-            "kcc_doccheck: --root does not look like the repo root (no "
-            "README.md under '" +
-                root.string() + "')");
+    require(fs::exists(root / "README.md"), [&] {
+      return "kcc_doccheck: --root does not look like the repo root (no "
+             "README.md under '" +
+             root.string() + "')";
+    });
 
     std::set<std::string> known;
     for (const char* flag : {"kcc", "kcc-bench", "kcc-fuzz"}) {
       const std::string binary = args.get_string(flag, "");
-      require(!binary.empty(),
-              std::string("kcc_doccheck: --") + flag + " is required");
+      require(!binary.empty(), [&] {
+        return std::string("kcc_doccheck: --") + flag + " is required";
+      });
       for (const std::string& token : extract_flags(help_text(binary))) {
         known.insert(token);
       }

@@ -92,8 +92,9 @@ check::TestGraph load_corpus_file(const std::filesystem::path& path) {
 
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path);
-  require(static_cast<bool>(in),
-          "kcc_fuzz: cannot read " + path.string());
+  require(static_cast<bool>(in), [&] {
+    return "kcc_fuzz: cannot read " + path.string();
+  });
   std::stringstream text;
   text << in.rdbuf();
   return text.str();
@@ -240,8 +241,9 @@ int main(int argc, char** argv) {
            ("repro_seed" + std::to_string(seed) + ".txt"))
               .string();
       std::ofstream out(artifact_path);
-      require(static_cast<bool>(out),
-              "kcc_fuzz: cannot write artifact " + artifact_path);
+      require(static_cast<bool>(out), [&] {
+        return "kcc_fuzz: cannot write artifact " + artifact_path;
+      });
       out << shrunk.graph.to_edge_list();
       out.close();
       std::cerr << "minimized to " << shrunk.graph.edges.size()
@@ -269,8 +271,9 @@ int main(int argc, char** argv) {
            ("repro_churn_seed" + std::to_string(seed) + ".delta"))
               .string();
       std::ofstream out(artifact_path);
-      require(static_cast<bool>(out),
-              "kcc_fuzz: cannot write artifact " + artifact_path);
+      require(static_cast<bool>(out), [&] {
+        return "kcc_fuzz: cannot write artifact " + artifact_path;
+      });
       out << churn_failure->repro;
       out.close();
       std::cerr << "delta-stream reproducer ("
