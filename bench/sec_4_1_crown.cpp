@@ -86,8 +86,11 @@ int body(const kcc::bench::HarnessConfig& config) {
       name = eco.ixps.ixp(p.max_share->ixp).name;
       share = percent(p.max_share->fraction);
     }
-    table.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id), p.size,
-              name, share, p.full_share.empty() ? "no" : "yes");
+    std::string label = "k";
+    label.append(std::to_string(p.k)).append("id");
+    label.append(std::to_string(p.id));
+    table.add(label, p.size, name, share,
+              p.full_share.empty() ? "no" : "yes");
   }
   std::cout << table;
 

@@ -41,7 +41,10 @@ int body(const kcc::bench::HarnessConfig& config) {
     const double wc =
         geo_tag_fraction(eco.geo, c.nodes, GeoTag::kWorldwide) +
         geo_tag_fraction(eco.geo, c.nodes, GeoTag::kContinental);
-    table.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id), p.size,
+    std::string label = "k";
+    label.append(std::to_string(p.k)).append("id");
+    label.append(std::to_string(p.id));
+    table.add(label, p.size,
               p.is_main ? "yes" : "no", percent(p.on_ixp_fraction), name,
               share, fixed(mean_degree(eco.topology.graph, c.nodes), 1),
               percent(wc));

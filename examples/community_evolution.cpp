@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
 
     TextTable counts({"snapshot", "communities at k=" + std::to_string(k)});
     for (std::size_t t = 0; t < summary.community_counts.size(); ++t) {
-      counts.add("t" + std::to_string(t), summary.community_counts[t]);
+      const std::string label = std::string("t").append(std::to_string(t));
+      counts.add(label, summary.community_counts[t]);
     }
     std::cout << counts << "\n";
 

@@ -47,8 +47,10 @@ int main(int argc, char** argv) {
       std::string full = p.full_share.empty()
                              ? "no"
                              : eco.ixps.ixp(p.full_share.front()).name;
-      crown.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id),
-                p.size, name, shared, fraction, full);
+      std::string label = "k";
+      label.append(std::to_string(p.k)).append("id");
+      label.append(std::to_string(p.id));
+      crown.add(label, p.size, name, shared, fraction, full);
     }
     std::cout << crown << "\n";
 
@@ -64,8 +66,10 @@ int main(int argc, char** argv) {
       ++root_full;
       const Ixp& ixp = eco.ixps.ixp(p.full_share.front());
       if (root.row_count() < 20) {
-        root.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id),
-                 p.size, ixp.name, ixp.country);
+        std::string label = "k";
+        label.append(std::to_string(p.k)).append("id");
+        label.append(std::to_string(p.id));
+        root.add(label, p.size, ixp.name, ixp.country);
       }
     }
     std::cout << root;

@@ -24,6 +24,50 @@ struct CliqueOverlap {
   std::uint32_t overlap = 0;  // |A ∩ B| >= min_overlap
 };
 
+/// Work done by one count_overlaps call.
+struct OverlapCounts {
+  std::size_t hits = 0;        ///< index entries read
+  std::size_t candidates = 0;  ///< distinct cliques among them
+  std::size_t kept = 0;        ///< candidates whose count reached the floor
+};
+
+/// The first-touch overlap count behind every clique join. A clique that
+/// shares s nodes with the probe appears in exactly s of the probe's node
+/// index lists, so counting its hits IS the overlap |A ∩ B|.
+///
+/// `for_each_hit(hit)` must call `hit(id)` once per index entry read. Each
+/// hit stores its id at touched[n] and advances n only when that id's count
+/// was 0, so the hit loop carries no data-dependent branch. A second pass
+/// compacts, the same way, the candidates whose count reaches `floor` to
+/// touched[0, kept) with their overlaps in overlap[0, kept), and resets
+/// every count it read.
+///
+/// Contract: `count` (indexed by clique id) is all zero on entry and on
+/// exit; `touched` holds candidates + 1 slots and `overlap` candidates.
+template <typename ForEachHit>
+inline OverlapCounts count_overlaps(ForEachHit&& for_each_hit,
+                                    std::uint32_t* count, CliqueId* touched,
+                                    std::uint32_t* overlap,
+                                    std::uint32_t floor) {
+  std::size_t n = 0;
+  std::size_t hits = 0;
+  for_each_hit([&](CliqueId id) {
+    touched[n] = id;
+    n += count[id]++ == 0;
+    ++hits;
+  });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const CliqueId id = touched[i];
+    const std::uint32_t shared = count[id];
+    count[id] = 0;
+    touched[kept] = id;
+    overlap[kept] = shared;
+    kept += shared >= floor;
+  }
+  return {hits, n, kept};
+}
+
 /// Inverted index: for each node, the ids of cliques containing it.
 std::vector<std::vector<CliqueId>> build_node_clique_index(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes);

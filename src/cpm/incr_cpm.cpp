@@ -89,7 +89,7 @@ void IncrementalCpm::bootstrap(const Graph& g) {
     }
   }
   stale_entries_ = 0;
-  count_.assign(cliques_.size(), 0);
+  grow_scratch();
   node_stamp_.assign(adjacency_.size(), 0);
 }
 
@@ -309,25 +309,38 @@ void IncrementalCpm::remove_edge(NodeId u, NodeId v) {
 }
 
 bool IncrementalCpm::is_maximal(const NodeSet& nodes) {
-  // A witness is adjacent to every member, so it is a neighbor of the
-  // member with the fewest neighbors: only those are tested, against the
-  // other members in ascending degree (the likeliest to reject first)
+  // A witness is adjacent to every member, so it is a common neighbor of
+  // the two members with the fewest neighbors: a linear merge of their
+  // sorted lists yields the candidates, and only those are tested against
+  // the other members in ascending degree (the likeliest to reject first)
   // until one is not adjacent. A member never passes — a node is not
   // adjacent to itself — so no membership test is needed.
   by_degree_.assign(nodes.begin(), nodes.end());
   std::sort(by_degree_.begin(), by_degree_.end(), [&](NodeId a, NodeId b) {
     return adjacency_[a].size() < adjacency_[b].size();
   });
-  const NodeId pivot = by_degree_.front();
-  for (NodeId w : adjacency_[pivot]) {
-    bool witness = true;
-    for (std::size_t i = 1; i < by_degree_.size(); ++i) {
-      if (!adjacent(w, by_degree_[i])) {
-        witness = false;
-        break;
+  const std::vector<NodeId>& first = adjacency_[by_degree_[0]];
+  const std::vector<NodeId>& second = adjacency_[by_degree_[1]];
+  auto i = first.begin();
+  auto j = second.begin();
+  while (i != first.end() && j != second.end()) {
+    if (*i < *j) {
+      ++i;
+    } else if (*j < *i) {
+      ++j;
+    } else {
+      const NodeId w = *i;
+      bool witness = true;
+      for (std::size_t m = 2; m < by_degree_.size(); ++m) {
+        if (!adjacent(w, by_degree_[m])) {
+          witness = false;
+          break;
+        }
       }
+      if (witness) return false;
+      ++i;
+      ++j;
     }
-    if (witness) return false;
   }
   return true;
 }
@@ -348,24 +361,29 @@ CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
   grow_scratch();
 
   // Count shared nodes against every alive clique BEFORE indexing the new
-  // one, so it never pairs with itself.
-  touched_.clear();
-  for (NodeId x : nodes) {
-    auto& list = cliques_of_node_[x];
-    std::size_t live = 0;
-    for (const CliqueRef e : list) {
-      if (!valid(e)) continue;  // stale: compacted away in place
-      list[live++] = e;
-      if (count_[e.clique]++ == 0) touched_.push_back(e.clique);
-    }
-    list.resize(live);
-  }
-  for (CliqueId d : touched_) {
-    if (count_[d] >= 2) {
-      overlaps_[c].push_back({d, gen_[d], count_[d]});
-      ++refs_[d];
-    }
-    count_[d] = 0;
+  // one, so it never pairs with itself. Stale entries are compacted away in
+  // place; a list is rewritten only from its first stale entry on.
+  const OverlapCounts counts = count_overlaps(
+      [&](auto&& hit) {
+        for (NodeId x : nodes) {
+          auto& list = cliques_of_node_[x];
+          std::size_t i = 0;
+          while (i < list.size() && valid(list[i])) hit(list[i++].clique);
+          if (i == list.size()) continue;
+          std::size_t live = i;
+          for (++i; i < list.size(); ++i) {
+            if (!valid(list[i])) continue;
+            hit(list[i].clique);
+            list[live++] = list[i];
+          }
+          list.resize(live);
+        }
+      },
+      count_.data(), touched_.data(), shared_.data(), /*floor=*/2);
+  for (std::size_t i = 0; i < counts.kept; ++i) {
+    const CliqueId d = touched_[i];
+    overlaps_[c].push_back({d, gen_[d], shared_[i]});
+    ++refs_[d];
   }
   for (NodeId x : nodes) cliques_of_node_[x].push_back({c, gen_[c]});
   cliques_[c] = std::move(nodes);
@@ -438,11 +456,15 @@ std::size_t IncrementalCpm::state_bytes() const {
   return nested(adjacency_) + nested(cliques_) + bytes(alive_) +
          bytes(free_slots_) + bytes(gen_) + nested(cliques_of_node_) +
          nested(overlaps_) + bytes(refs_) + bytes(count_) + bytes(touched_) +
-         bytes(node_stamp_);
+         bytes(shared_) + bytes(node_stamp_);
 }
 
 void IncrementalCpm::grow_scratch() {
-  if (count_.size() < cliques_.size()) count_.resize(cliques_.size(), 0);
+  if (count_.size() < cliques_.size()) {
+    count_.resize(cliques_.size(), 0);
+    touched_.resize(cliques_.size() + 1);
+    shared_.resize(cliques_.size());
+  }
 }
 
 Graph IncrementalCpm::graph() const {

@@ -27,14 +27,15 @@
 //
 // The overlap multiset is patched with the same locality: retiring a
 // clique drops its pairs, inserting one counts shared nodes against the
-// per-node index (epoch-stamped counters). Both indexes use lazy
-// invalidation — a retire bumps the slot's generation and leaves the
-// stale back-references in place; scans skip (and compact away) entries
-// whose stamped generation no longer matches, and an amortized global
-// compaction bounds the stale fraction. This keeps a retire O(own lists)
-// instead of O(sum of neighbor lists), which is the difference between
-// milliseconds and minutes when an edge removal inside the dense AS core
-// retires thousands of mutually-overlapping cliques at once.
+// per-node index (count_overlaps, the kernel every clique join shares).
+// Both indexes use lazy invalidation — a retire bumps the slot's
+// generation and leaves the stale back-references in place; scans skip
+// (and compact away) entries whose stamped generation no longer matches,
+// and an amortized global compaction bounds the stale fraction. This
+// keeps a retire O(own lists) instead of O(sum of neighbor lists), which
+// is the difference between milliseconds and minutes when an edge removal
+// inside the dense AS core retires thousands of mutually-overlapping
+// cliques at once.
 // Materialization then re-enters
 // the sweep engine over the maintained table + pairs
 // (run_sweep_cpm_prejoined) — the communities, ids, maps and tree are
@@ -134,6 +135,7 @@ class IncrementalCpm {
   void add_edge(NodeId u, NodeId v);
   void remove_edge(NodeId u, NodeId v);
   bool adjacent(NodeId u, NodeId v) const;
+  /// Whether a fragment of >= 2 nodes has no witness adjacent to all of it.
   bool is_maximal(const NodeSet& nodes);
   CliqueId insert_clique(NodeSet nodes);
   void retire_clique(CliqueId c);
@@ -183,10 +185,11 @@ class IncrementalCpm {
   /// compact_if_needed().
   std::size_t stale_entries_ = 0;
 
-  // Shared-node counters over clique slots for insert_clique, all zero
-  // between inserts: each insert resets exactly the slots it touched.
+  // count_overlaps scratch over clique slots for insert_clique: count_ is
+  // all zero between inserts; touched_ holds one slot more than the table.
   std::vector<std::uint32_t> count_;
   std::vector<CliqueId> touched_;
+  std::vector<std::uint32_t> shared_;
 
   // Epoch-stamped scratch over node ids, reused across operations so no
   // per-op allocation or clearing is needed: collect_absorbed stamps one

@@ -40,6 +40,12 @@ constexpr std::size_t kSpillChunkPairs = kSpillChunkBytes / sizeof(PackedPair);
 struct SweepMetrics {
   obs::Counter& windows = obs::metrics().counter("cpm_stream_windows_total");
   obs::Counter& pairs = obs::metrics().counter("cpm_stream_pairs_total");
+  obs::Counter& join_hits =
+      obs::metrics().counter("cpm_stream_join_hits_total");
+  obs::Counter& join_candidates =
+      obs::metrics().counter("cpm_stream_join_candidates_total");
+  obs::Counter& join_pairs =
+      obs::metrics().counter("cpm_stream_join_pairs_total");
   obs::Counter& spilled_pairs =
       obs::metrics().counter("cpm_stream_spilled_pairs_total");
   obs::Counter& spill_bytes =
@@ -226,12 +232,15 @@ class SweepPercolator {
     // holds, so a clique of size <= prune_min_ takes part only in pairs
     // below the prune floor: it is neither joined nor indexed. max_k == 2
     // consumes no pairs at all (communities are connected components).
+    // The join's scratch grows first: the c earlier cliques are at most c
+    // candidates, and count_overlaps needs one touched slot more.
+    count_.push_back(0);
+    touched_.push_back(0);
+    overlap_.push_back(0);
     if (max_k_ != 2 && clique.size() > prune_min_) {
       join_against_index(c, clique);
       for (NodeId v : clique) index_[v].push_back(c);
     }
-    stamp_.push_back(0);
-    count_.push_back(0);
     cliques_.push_back(std::move(clique));
   }
 
@@ -278,7 +287,11 @@ class SweepPercolator {
 
   SweepCpmResult finish() {
     publish_gauges();
-    sweep_metrics().pairs.inc(stats_.pairs_total);
+    SweepMetrics& m = sweep_metrics();
+    m.pairs.inc(stats_.pairs_total);
+    m.join_hits.inc(stats_.join_hits);
+    m.join_candidates.inc(stats_.join_candidates);
+    m.join_pairs.inc(stats_.join_pairs);
     SweepCpmResult out;
     CpmResult& result = out.cpm;
     result.cliques = std::move(cliques_);
@@ -289,9 +302,9 @@ class SweepPercolator {
 
     // The join is done; drop its scratch before the sweep allocates.
     release(index_);
-    release(stamp_);
     release(count_);
     release(touched_);
+    release(overlap_);
 
     const std::size_t num_cliques = result.cliques.size();
     std::size_t max_size = 0;
@@ -342,25 +355,22 @@ class SweepPercolator {
 
  private:
   // Counting join of clique `c` (not yet in the index) against every
-  // earlier clique sharing a node — the incremental half of
-  // clique_index.cpp's overlaps_for_clique.
+  // earlier clique sharing a node, through the shared count_overlaps kernel.
   void join_against_index(CliqueId c, const NodeSet& clique) {
-    const std::uint32_t epoch = c + 1;  // unique per call, stamp_ starts at 0
-    for (NodeId v : clique) {
-      for (CliqueId other : index_[v]) {
-        if (stamp_[other] != epoch) {
-          stamp_[other] = epoch;
-          count_[other] = 0;
-          touched_.push_back(other);
-        }
-        ++count_[other];
-      }
+    const OverlapCounts counts = count_overlaps(
+        [&](auto&& hit) {
+          for (NodeId v : clique) {
+            for (CliqueId other : index_[v]) hit(other);
+          }
+        },
+        count_.data(), touched_.data(), overlap_.data(),
+        static_cast<std::uint32_t>(prune_min_));
+    for (std::size_t i = 0; i < counts.kept; ++i) {
+      store_pair(overlap_[i], touched_[i], c);
     }
-    for (CliqueId other : touched_) {
-      const std::size_t overlap = count_[other];
-      if (overlap >= prune_min_) store_pair(overlap, other, c);
-    }
-    touched_.clear();
+    stats_.join_hits += counts.hits;
+    stats_.join_candidates += counts.candidates;
+    stats_.join_pairs += counts.kept;
   }
 
   void store_pair(std::size_t overlap, CliqueId a, CliqueId b) {
@@ -489,9 +499,11 @@ class SweepPercolator {
 
   std::vector<NodeSet> cliques_;               // the growing output table
   std::vector<std::vector<CliqueId>> index_;   // node -> cliques (ascending)
-  std::vector<std::uint32_t> stamp_;           // join scratch, per clique
+  // count_overlaps scratch: count_ and overlap_ one slot per clique,
+  // touched_ one more.
   std::vector<std::uint32_t> count_;
-  std::vector<CliqueId> touched_;
+  std::vector<CliqueId> touched_ = std::vector<CliqueId>(1);
+  std::vector<std::uint32_t> overlap_;
 
   std::vector<Bucket> buckets_;  // buckets_[o] = pairs with overlap o
   std::uint64_t resident_pair_bytes_ = 0;

@@ -11,16 +11,17 @@
 //     calling thread joins window w, the pool enumerates window w+1, so at
 //     most two windows of enumeration slots are ever resident.
 //  2. Each arriving clique is joined against a compact inverted node ->
-//     clique index of the cliques seen so far (the stamp-array counting
-//     join of clique_index.cpp, one clique at a time). Every overlap pair
-//     is born directly into the bucket of its overlap value as a packed
-//     8-byte {a, b} record: the buckets ARE the descending sort, so no
-//     sort pass and no second copy of the pairs exist. Pairs with overlap
-//     below max(3, min_k) - 1 — which no sweep level would ever consume —
-//     are dropped at birth, and a clique no larger than that floor is
-//     neither joined nor indexed: it shares fewer nodes than it holds with
-//     any other maximal clique, so all its pairs would be dropped. At high
-//     min_k this skips most of the clique table.
+//     clique index of the cliques seen so far (count_overlaps, the
+//     branch-free counting kernel of clique_index.h, one clique at a
+//     time). Every overlap pair is born directly into the bucket of its
+//     overlap value as a packed 8-byte {a, b} record: the buckets ARE the
+//     descending sort, so no sort pass and no second copy of the pairs
+//     exist. Pairs with overlap below max(3, min_k) - 1 — which no sweep
+//     level would ever consume — are dropped at birth, and a clique no
+//     larger than that floor is neither joined nor indexed: it shares
+//     fewer nodes than it holds with any other maximal clique, so all its
+//     pairs would be dropped. At high min_k this skips most of the clique
+//     table.
 //  3. When a memory budget is set and the resident pair bytes exceed it,
 //     whole buckets spill to temp files (largest first) and are streamed
 //     back one fixed-size chunk at a time while the sweep drains their
@@ -64,6 +65,9 @@ struct SweepCpmStats {
   std::uint64_t spilled_pairs = 0;       ///< pairs written to spill files
   std::uint64_t spill_bytes = 0;         ///< bytes written to spill files
   std::uint64_t resident_pair_bytes_peak = 0;  ///< peak resident pair bytes
+  std::uint64_t join_hits = 0;        ///< index entries the join read
+  std::uint64_t join_candidates = 0;  ///< distinct cliques they named
+  std::uint64_t join_pairs = 0;       ///< pairs the join kept (post-prune)
 };
 
 /// Output of the sweep engine: the standard CPM result plus the nesting

@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "common/set_ops.h"
 #include "common/union_find.h"
+#include "cpm/clique_index.h"
 
 namespace kcc {
 
@@ -78,6 +79,32 @@ struct Enumerator {
   }
 };
 
+// Percolates k-cliques: two are adjacent when they share k - 1 nodes,
+// counted through the node -> clique index by count_overlaps.
+UnionFind percolate(const std::vector<NodeSet>& cliques, std::size_t num_nodes,
+                    std::size_t k) {
+  UnionFind uf(cliques.size());
+  const auto index = build_node_clique_index(cliques, num_nodes);
+  std::vector<std::uint32_t> count(cliques.size(), 0);
+  std::vector<CliqueId> touched(cliques.size() + 1);
+  std::vector<std::uint32_t> overlap(cliques.size());
+  for (CliqueId c = 0; c < cliques.size(); ++c) {
+    const OverlapCounts counts = count_overlaps(
+        [&](auto&& hit) {
+          for (NodeId v : cliques[c]) {
+            for (CliqueId other : index[v]) {
+              if (other >= c) break;
+              hit(other);
+            }
+          }
+        },
+        count.data(), touched.data(), overlap.data(),
+        static_cast<std::uint32_t>(k - 1));
+    for (std::size_t i = 0; i < counts.kept; ++i) uf.unite(c, touched[i]);
+  }
+  return uf;
+}
+
 }  // namespace
 
 std::vector<NodeSet> weighted_k_clique_communities(
@@ -96,30 +123,7 @@ std::vector<NodeSet> weighted_k_clique_communities(
   enumerator.run();
   const std::vector<NodeSet>& cliques = enumerator.out;
 
-  // Percolate: cliques sharing k-1 nodes. Inverted index keeps this from
-  // being all-pairs.
-  UnionFind uf(cliques.size());
-  std::vector<std::vector<std::uint32_t>> by_node(g.num_nodes());
-  for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-    for (NodeId v : cliques[c]) by_node[v].push_back(c);
-  }
-  std::vector<std::uint32_t> hits(cliques.size(), 0);
-  std::vector<std::uint32_t> touched;
-  for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-    touched.clear();
-    for (NodeId v : cliques[c]) {
-      for (std::uint32_t other : by_node[v]) {
-        if (other >= c) break;
-        if (hits[other] == 0) touched.push_back(other);
-        ++hits[other];
-      }
-    }
-    for (std::uint32_t other : touched) {
-      if (hits[other] >= options.k - 1) uf.unite(c, other);
-      hits[other] = 0;
-    }
-  }
-
+  UnionFind uf = percolate(cliques, g.num_nodes(), options.k);
   std::vector<NodeSet> communities;
   for (const auto& group : uf.groups()) {
     NodeSet nodes;
@@ -169,27 +173,7 @@ std::vector<IntensitySweepPoint> intensity_sweep(
     }
     point.surviving_cliques = cliques.size();
 
-    UnionFind uf(cliques.size());
-    std::vector<std::vector<std::uint32_t>> by_node(g.num_nodes());
-    for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-      for (NodeId v : cliques[c]) by_node[v].push_back(c);
-    }
-    std::vector<std::uint32_t> hits(cliques.size(), 0);
-    std::vector<std::uint32_t> touched;
-    for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-      touched.clear();
-      for (NodeId v : cliques[c]) {
-        for (std::uint32_t other : by_node[v]) {
-          if (other >= c) break;
-          if (hits[other] == 0) touched.push_back(other);
-          ++hits[other];
-        }
-      }
-      for (std::uint32_t other : touched) {
-        if (hits[other] >= k - 1) uf.unite(c, other);
-        hits[other] = 0;
-      }
-    }
+    UnionFind uf = percolate(cliques, g.num_nodes(), k);
     point.community_count = uf.set_count();
     for (auto& group : uf.groups()) {
       NodeSet nodes;

@@ -90,6 +90,9 @@ int open_event(const EventSpec& spec) {
               /*group_fd=*/-1, /*flags=*/0));
 }
 
+// Calibration stores land here, so the optimizer cannot drop the loop.
+volatile long calibration_sink = 0;
+
 }  // namespace
 
 HwCounterSet::HwCounterSet() {
@@ -120,8 +123,7 @@ HwCounterSet::HwCounterSet() {
   // Calibrate: on PMU-less VMs the hardware events open fine but never
   // tick. Burn a visible amount of work, then close any event still at
   // zero so reports say "software-only" instead of carrying silent zeros.
-  for (volatile long spin = 0; spin < 2'000'000; ++spin) {
-  }
+  for (long spin = 0; spin < 2'000'000; ++spin) calibration_sink = spin;
   int live_hw = 0;
   for (int i = 0; i < kHwCounterCount; ++i) {
     if (fds_[i] < 0 || kEvents[i].type != PERF_TYPE_HARDWARE) continue;

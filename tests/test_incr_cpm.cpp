@@ -286,6 +286,49 @@ TEST(IncrCpm, NodeUniverseGrowsWithAddedEdges) {
   EXPECT_EQ(digest(state), sweep_digest(Graph::from_edges(6, {{2, 5}})));
 }
 
+TEST(IncrCpm, TwoMemberFragmentWithACommonNeighborIsNotMaximal) {
+  // Triangles {0, 1, 2} and {1, 2, 3}. Removing (0, 1) kills the first;
+  // its fragment {1, 2} has the common neighbor 3 and must not be
+  // inserted, while {0, 2} has none and must be.
+  const Graph g =
+      Graph::from_edges(4, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}});
+  IncrementalCpm state(g);
+  EdgeBatch batch;
+  batch.remove.emplace_back(0, 1);
+  state.apply(batch);
+  EXPECT_EQ(state.num_cliques(), 2u);  // {1, 2, 3} and {0, 2}
+  EXPECT_EQ(digest(state),
+            sweep_digest(Graph::from_edges(
+                4, {{0, 2}, {1, 2}, {1, 3}, {2, 3}})));
+}
+
+TEST(IncrCpm, FragmentWitnessIsDecidedByTheThirdLowestDegreeMember) {
+  // Removing (2, 3) from the clique {0, 1, 2, 3} leaves the fragment
+  // {0, 1, 2}: 0 and 1 have the lowest degrees, and 2 (padded with the
+  // leaves 6, 7, 8) the third lowest. The common neighbors of 0 and 1 are
+  // 2 itself, 3 (no longer adjacent to 2) and 4 (never adjacent to 2), so
+  // each candidate is rejected only by the third-lowest member. With node
+  // 5 adjacent to 0, 1 and 2, 5 is the fragment's only witness, and it
+  // passes only once it is tested against that member too.
+  for (const bool with_witness : {false, true}) {
+    std::vector<std::pair<NodeId, NodeId>> edges{
+        {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},  // the clique
+        {0, 4}, {1, 4},                                  // 4: not at 2
+        {2, 6}, {2, 7}, {2, 8}};                         // 2's leaves
+    if (with_witness) edges.insert(edges.end(), {{0, 5}, {1, 5}, {2, 5}});
+    IncrementalCpm state(Graph::from_edges(9, edges));
+    EdgeBatch batch;
+    batch.remove.emplace_back(2, 3);
+    state.apply(batch);
+    edges.erase(std::find(edges.begin(), edges.end(),
+                          std::pair<NodeId, NodeId>{2, 3}));
+    // {0, 1, 2} (or {0, 1, 2, 5}), {0, 1, 3}, {0, 1, 4} and three leaves.
+    EXPECT_EQ(state.num_cliques(), 6u) << "with_witness " << with_witness;
+    EXPECT_EQ(digest(state), sweep_digest(Graph::from_edges(9, edges)))
+        << "with_witness " << with_witness;
+  }
+}
+
 TEST(IncrCpm, RetainedStateStaysBoundedUnderFlapChurn) {
   // Link flaps at the AS edge: a batch touching 1% of the edges with an
   // endpoint of degree <= 64, then its inverse. Retired clique slots and

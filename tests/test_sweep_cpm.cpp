@@ -173,6 +173,45 @@ TEST(SweepCpm, MatchesOracleWhereTheJoinSkipsSmallCliques) {
   }
 }
 
+TEST(SweepCpm, JoinCountersAgreeAcrossEntryPoints) {
+  SynthParams params = SynthParams::test_scale();
+  params.seed = 7;
+  const Graph g = generate_ecosystem(params).topology.graph;
+  const std::vector<NodeSet> cliques = maximal_cliques_of(g);
+  ThreadPool pool(2);
+  const std::vector<CliqueOverlap> sharing =
+      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 1, pool);
+
+  for (const std::size_t min_k : {std::size_t{2}, std::size_t{4}}) {
+    const std::string label = "min_k=" + std::to_string(min_k);
+    // The join sees only cliques above the prune floor; among them every
+    // pair sharing a node is one candidate, read once per shared node.
+    const std::size_t floor = std::max<std::size_t>(3, min_k) - 1;
+    std::uint64_t candidates = 0, hits = 0, kept = 0;
+    for (const CliqueOverlap& p : sharing) {
+      if (cliques[p.a].size() <= floor || cliques[p.b].size() <= floor) {
+        continue;
+      }
+      ++candidates;
+      hits += p.overlap;
+      kept += p.overlap >= floor;
+    }
+    ASSERT_GT(kept, 0u) << label;
+
+    cpm::Options options;
+    options.min_k = min_k;
+    const SweepCpmStats streamed = run_sweep_engine(g, options).stats;
+    const SweepCpmStats tabled =
+        run_sweep_engine_on_cliques(g, cliques, options).stats;
+    for (const SweepCpmStats& stats : {streamed, tabled}) {
+      EXPECT_EQ(stats.join_hits, hits) << label;
+      EXPECT_EQ(stats.join_candidates, candidates) << label;
+      EXPECT_EQ(stats.join_pairs, kept) << label;
+      EXPECT_EQ(stats.join_pairs, stats.pairs_total) << label;
+    }
+  }
+}
+
 TEST(SweepCpm, MatchesOracleOnPreEnumeratedCliques) {
   const Graph g = random_graph(50, 0.3, 23);
   const std::vector<NodeSet> cliques = maximal_cliques_of(g);
